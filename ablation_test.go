@@ -1,6 +1,10 @@
 package pciesim
 
-import "testing"
+import (
+	"testing"
+
+	"pciesim/internal/fault"
+)
 
 // Ablations for the design choices DESIGN.md calls out: the posted
 // write extension the paper names as future work, and link-level error
@@ -14,7 +18,7 @@ func TestPostedWriteAblation(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.DD.StartupOverhead /= 64
 		cfg.Disk.PostedWrites = posted
-		s := New(cfg)
+		s := buildValidation(t, cfg)
 		res, err := s.RunDD(1 << 20)
 		if err != nil {
 			t.Fatal(err)
@@ -44,18 +48,18 @@ func TestErrorInjectionFullSystem(t *testing.T) {
 	run := func(rate float64) (float64, LinkStats) {
 		cfg := DefaultConfig()
 		cfg.DD.StartupOverhead /= 64
-		cfg.DiskLinkErrorRate = rate
+		cfg.Faults = map[string]*FaultPlan{"disklink": fault.CorruptionPlan(rate)}
 		cfg.Seed = 7
-		s := New(cfg)
+		s := buildValidation(t, cfg)
 		res, err := s.RunDD(1 << 20)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cmds, sectors := s.Disk.Stats()
+		cmds, sectors := s.Disks[0].Dev.Stats()
 		if cmds != 8 || sectors != 256 {
 			t.Fatalf("workload incomplete under error rate %v: %d cmds %d sectors", rate, cmds, sectors)
 		}
-		return res.ThroughputGbps(), s.DiskLink.Down().Stats()
+		return res.ThroughputGbps(), s.LinkByName("disklink").Link.Down().Stats()
 	}
 	clean, st := run(0)
 	if st.NaksRx != 0 {

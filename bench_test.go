@@ -5,7 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"pciesim/internal/topo"
+	"pciesim/internal/fault"
 )
 
 // The benchmark harness regenerates every table and figure of the
@@ -120,7 +120,7 @@ func BenchmarkSimulatorEventRate(b *testing.B) {
 	var events uint64
 	var simSeconds float64
 	for i := 0; i < b.N; i++ {
-		s := New(DefaultConfig())
+		s := buildValidation(b, DefaultConfig())
 		if _, err := s.RunDD(1 << 20); err != nil {
 			b.Fatal(err)
 		}
@@ -149,10 +149,10 @@ func BenchmarkSimulatorEventRateParallel(b *testing.B) {
 			b.ReportAllocs()
 			opt := benchOptions()
 			opt.Par = par
-			cfg := opt.scaledTopoConfig()
+			cfg := opt.config()
 			var events uint64
 			for i := 0; i < b.N; i++ {
-				sys, err := topo.Build(ts, cfg)
+				sys, err := Build(ts, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -177,9 +177,10 @@ func BenchmarkLinkSaturation(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					cfg := DefaultConfig()
 					cfg.Gen = gen
-					cfg.UplinkWidth = w
-					cfg.DiskLinkWidth = w
-					s := New(cfg)
+					s, err := Build(validation(w), cfg)
+					if err != nil {
+						b.Fatal(err)
+					}
 					if _, err := s.RunDD(256 << 10); err != nil {
 						b.Fatal(err)
 					}
@@ -204,7 +205,7 @@ func BenchmarkAblationPostedWrites(b *testing.B) {
 				cfg := DefaultConfig()
 				cfg.DD.StartupOverhead /= 64
 				cfg.Disk.PostedWrites = posted
-				s := New(cfg)
+				s := buildValidation(b, cfg)
 				res, err := s.RunDD(1 << 20)
 				if err != nil {
 					b.Fatal(err)
@@ -245,7 +246,7 @@ func BenchmarkObservabilityOverhead(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := DefaultConfig()
 				cfg.DD.StartupOverhead /= 64
-				s := New(cfg)
+				s := buildValidation(b, cfg)
 				v.arm(s)
 				if _, err := s.RunDD(1 << 20); err != nil {
 					b.Fatal(err)
@@ -269,7 +270,7 @@ func TestArmedSpanOverheadBudget(t *testing.T) {
 	run := func(armed bool) time.Duration {
 		cfg := DefaultConfig()
 		cfg.DD.StartupOverhead /= 64
-		s := New(cfg)
+		s := buildValidation(t, cfg)
 		if armed {
 			s.Eng.ArmSpans()
 		}
@@ -309,9 +310,9 @@ func BenchmarkAblationErrorRate(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := DefaultConfig()
 				cfg.DD.StartupOverhead /= 64
-				cfg.DiskLinkErrorRate = rate
+				cfg.Faults = map[string]*FaultPlan{"disklink": fault.CorruptionPlan(rate)}
 				cfg.Seed = 11
-				s := New(cfg)
+				s := buildValidation(b, cfg)
 				res, err := s.RunDD(1 << 20)
 				if err != nil {
 					b.Fatal(err)

@@ -30,11 +30,9 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"sync"
 
 	"pciesim"
 	"pciesim/internal/obscli"
-	"pciesim/internal/sim"
 )
 
 func main() {
@@ -54,33 +52,8 @@ func main() {
 	}
 
 	opt := pciesim.Options{Scale: *scale, Jobs: *jobs, Par: *par}
-	if obs.Active() {
-		// One armed copy per run; dumps are suffixed with the run label.
-		// Observe runs concurrently under -jobs, so the map is locked;
-		// ObserveDone is serialized by the sweep runner.
-		var mu sync.Mutex
-		armed := make(map[*sim.Engine]*obscli.Flags)
-		opt.Observe = func(eng *sim.Engine, label string) error {
-			f := obs.ForRun(label)
-			if err := f.Arm(eng); err != nil {
-				return err
-			}
-			mu.Lock()
-			armed[eng] = f
-			mu.Unlock()
-			return nil
-		}
-		opt.ObserveDone = func(eng *sim.Engine, label string) error {
-			mu.Lock()
-			f := armed[eng]
-			delete(armed, eng)
-			mu.Unlock()
-			if f.Stats {
-				fmt.Printf("--- stats: %s ---\n", label)
-			}
-			return f.Finish(eng)
-		}
-	}
+	// One armed copy per run; dumps are suffixed with the run label.
+	opt.Observe, opt.ObserveDone = obs.PerRun()
 	if *topoSpec != "" {
 		result, err := pciesim.RunTopoSweep(*topoSpec, opt)
 		if err != nil {
@@ -95,157 +68,73 @@ func main() {
 		return
 	}
 
-	runners := map[string]func(pciesim.Options) (pciesim.Figure, error){
-		"9a": pciesim.RunFig9a,
-		"9b": pciesim.RunFig9b,
-		"9c": pciesim.RunFig9c,
-		"9d": pciesim.RunFig9d,
+	var selected []figure
+	for _, f := range figures {
+		if f.name == *fig || (*fig == "all" && !f.optIn) {
+			selected = append(selected, f)
+		}
 	}
-	// order is the -fig all sequence and doubles as the list of valid
-	// figure names ("scen" is opt-in only: it is a scenario report, not
-	// a paper figure).
-	order := []string{"9a", "9b", "9c", "9d", "err", "fc", "degrade"}
-
-	selected := order
-	if *fig != "all" {
-		// "scen", "lat" and "wl" are opt-in only: reports, not paper
-		// figures.
-		valid := *fig == "scen" || *fig == "lat" || *fig == "wl"
-		for _, id := range order {
-			if *fig == id {
-				valid = true
-			}
+	if len(selected) == 0 {
+		names := make([]string, len(figures))
+		for i, f := range figures {
+			names[i] = f.name
 		}
-		if !valid {
-			fmt.Fprintf(os.Stderr, "ddbench: unknown figure %q; valid names: %s, lat, scen, wl, all\n",
-				*fig, strings.Join(order, ", "))
-			os.Exit(2)
-		}
-		selected = []string{*fig}
+		fmt.Fprintf(os.Stderr, "ddbench: unknown figure %q; valid names: %s, all\n",
+			*fig, strings.Join(names, ", "))
+		os.Exit(2)
 	}
-	for _, id := range selected {
-		if id == "err" {
-			runFigErr(opt, *csv)
-			continue
-		}
-		if id == "lat" {
-			runFigLat(opt, *csv)
-			continue
-		}
-		if id == "wl" {
-			runFigWL(opt, *csv)
-			continue
-		}
-		if id == "fc" {
-			runFigFC(opt, *csv)
-			continue
-		}
-		if id == "degrade" {
-			runFigDegrade(opt, *csv)
-			continue
-		}
-		if id == "scen" {
-			report, err := pciesim.RunScenarios(nil, opt)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "ddbench: %v\n", err)
-				os.Exit(1)
-			}
-			if *csv {
-				fmt.Print(report.CSV())
-			} else {
-				fmt.Print(report.Format())
-			}
-			continue
-		}
-		result, err := runners[id](opt)
+	for _, f := range selected {
+		result, err := f.run(opt)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "ddbench: %v\n", err)
 			os.Exit(1)
 		}
-		if *csv {
+		switch {
+		case *csv:
 			fmt.Print(result.CSV())
-		} else {
+		case f.name == "scen":
+			// The scenario report carries no trailing blank line.
+			fmt.Print(result.Format())
+		default:
 			fmt.Println(result.Format())
 		}
 	}
 }
 
-// runFigLat runs the latency-attribution comparison: the same dd
-// write with healthy and credit-starved links, spans armed, reporting
-// where each microsecond went per segment.
-func runFigLat(opt pciesim.Options, csv bool) {
-	result, err := pciesim.RunFigLat(opt)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ddbench: %v\n", err)
-		os.Exit(1)
-	}
-	if csv {
-		fmt.Print(result.CSV())
-	} else {
-		fmt.Println(result.Format())
-	}
+// table is what every figure runner returns.
+type table interface {
+	Format() string
+	CSV() string
 }
 
-// runFigWL runs the workload-engine figure: Poisson vs bursty NIC
-// receive traffic at equal offered load, the random-read contention
-// matrix, and the trace capture/replay byte-identity check.
-func runFigWL(opt pciesim.Options, csv bool) {
-	result, err := pciesim.RunFigWL(opt)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ddbench: %v\n", err)
-		os.Exit(1)
-	}
-	if csv {
-		fmt.Print(result.CSV())
-	} else {
-		fmt.Println(result.Format())
-	}
+// figure is one -fig entry. Opt-in entries are reports rather than
+// paper figures and run only when named, never under -fig all.
+type figure struct {
+	name  string
+	optIn bool
+	run   func(pciesim.Options) (table, error)
 }
 
-// runFigFC runs the flow-control credit sweep: a dd write over a
-// long-latency link with a shrinking completion-credit pool.
-func runFigFC(opt pciesim.Options, csv bool) {
-	result, err := pciesim.RunFigFC(opt)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ddbench: %v\n", err)
-		os.Exit(1)
-	}
-	if csv {
-		fmt.Print(result.CSV())
-	} else {
-		fmt.Println(result.Format())
-	}
+// figures is the -fig table in -fig all order; its names, in this
+// order, are the valid -fig values.
+var figures = []figure{
+	{"9a", false, asTable(pciesim.RunFig9a)},
+	{"9b", false, asTable(pciesim.RunFig9b)},
+	{"9c", false, asTable(pciesim.RunFig9c)},
+	{"9d", false, asTable(pciesim.RunFig9d)},
+	{"err", false, asTable(pciesim.RunFigErr)},
+	{"fc", false, asTable(pciesim.RunFigFC)},
+	{"degrade", false, asTable(pciesim.RunFigDegrade)},
+	{"lat", true, asTable(pciesim.RunFigLat)},
+	{"scen", true, asTable(func(opt pciesim.Options) (pciesim.ScenarioReport, error) {
+		return pciesim.RunScenarios(nil, opt)
+	})},
+	{"wl", true, asTable(pciesim.RunFigWL)},
 }
 
-// runFigDegrade runs the adaptive-degradation staircase: dd on an x4
-// Gen2 disk link held at each (Gen, Width) ladder level, plus a run
-// that upgrade-retrains back to full speed mid-transfer.
-func runFigDegrade(opt pciesim.Options, csv bool) {
-	result, err := pciesim.RunFigDegrade(opt)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ddbench: %v\n", err)
-		os.Exit(1)
-	}
-	if csv {
-		fmt.Print(result.CSV())
-	} else {
-		fmt.Println(result.Format())
-	}
-}
-
-// runFigErr runs the error-containment sweep: dd against a disk link
-// with stochastic corruption, a retrained down-window, and a dead link.
-func runFigErr(opt pciesim.Options, csv bool) {
-	result, err := pciesim.RunFigErr(opt)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ddbench: %v\n", err)
-		os.Exit(1)
-	}
-	if csv {
-		fmt.Print(result.CSV())
-	} else {
-		fmt.Println(result.Format())
-	}
+// asTable adapts a runner returning a concrete result type.
+func asTable[T table](run func(pciesim.Options) (T, error)) func(pciesim.Options) (table, error) {
+	return func(opt pciesim.Options) (table, error) { return run(opt) }
 }
 
 func printTableI() {

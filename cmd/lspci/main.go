@@ -22,7 +22,11 @@ func main() {
 		*verbose = true
 	}
 
-	s := pciesim.New(pciesim.DefaultConfig())
+	s, err := pciesim.Build(pciesim.CannedTopo("validation"), pciesim.DefaultConfig())
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "lspci: %v\n", err)
+		os.Exit(1)
+	}
 	topo, err := s.Boot()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "lspci: %v\n", err)

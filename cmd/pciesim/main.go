@@ -71,7 +71,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"sync"
 
 	"pciesim"
 	"pciesim/internal/obscli"
@@ -242,10 +241,11 @@ func main() {
 		return
 	}
 
+	spec := pciesim.CannedTopo("validation")
+	spec.Link("uplink").Width = *uplink
+	spec.Link("disklink").Width = *disklink
 	cfg := pciesim.DefaultConfig()
 	cfg.Gen = pciesim.Generation(*gen)
-	cfg.UplinkWidth = *uplink
-	cfg.DiskLinkWidth = *disklink
 	cfg.ReplayBufferSize = *replayBuf
 	cfg.PortBufferSize = *portBuf
 	cfg.SwitchLatency = sim.Tick(*switchLat) * sim.Nanosecond
@@ -299,7 +299,7 @@ func main() {
 	faulted := len(plan.Windows) > 0 || len(plan.Hotplugs) > 0 ||
 		*errRate > 0 || *dllpRate > 0 || *dropRate > 0
 	if faulted {
-		cfg.DiskLinkFault = plan
+		cfg.Faults = map[string]*pciesim.FaultPlan{"disklink": plan}
 		// Arm the containment timeouts so a dead link degrades the
 		// run instead of hanging it.
 		cfg.CompletionTimeout = sim.Tick(*cto) * sim.Microsecond
@@ -307,7 +307,11 @@ func main() {
 		cfg.DiskDMATimeout = 500 * sim.Microsecond
 	}
 
-	s := pciesim.New(cfg)
+	s, err := pciesim.Build(spec, cfg)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "pciesim: %v\n", err)
+		os.Exit(2)
+	}
 	if err := obs.Arm(s.Eng); err != nil {
 		fmt.Fprintf(os.Stderr, "pciesim: %v\n", err)
 		os.Exit(2)
@@ -328,13 +332,14 @@ func main() {
 	fmt.Printf("dd: %v\n", res)
 	fmt.Printf("simulated %v in %d events\n", s.Eng.Now(), s.Eng.TotalFired())
 
+	disk := s.LinkByName("disklink").Link
 	fmt.Println("\nlink protocol statistics (upstream direction):")
 	for _, l := range []struct {
 		name  string
 		stats pciesim.LinkStats
 	}{
-		{"disk->switch", s.DiskLink.Down().Stats()},
-		{"switch->rootport", s.Uplink.Down().Stats()},
+		{"disk->switch", disk.Down().Stats()},
+		{"switch->rootport", s.LinkByName("uplink").Link.Down().Stats()},
 	} {
 		st := l.stats
 		fmt.Printf("  %-18s tlps=%d replays=%d (%.1f%%) timeouts=%d (%.1f%%) throttled=%d\n",
@@ -363,12 +368,12 @@ func main() {
 		s.Eng.Run() // drain recovery polling before reading the outcome
 		triggers, recovered, abandoned := s.Recovery.Counts()
 		fmt.Printf("  dpc: triggers=%d recovered=%d abandoned=%d; disk removals=%d reinserts=%d\n",
-			triggers, recovered, abandoned, s.DiskLink.Removals(), s.DiskLink.Reinserts())
+			triggers, recovered, abandoned, disk.Removals(), disk.Reinserts())
 	}
 	if cfg.Degrade != nil {
 		fmt.Printf("  degrade: downtrains=%d uptrains=%d level=%d (%v x%d)\n",
-			s.DiskLink.Downtrains(), s.DiskLink.Uptrains(), s.DiskLink.DegradeLevel(),
-			s.DiskLink.CurrentGen(), s.DiskLink.CurrentWidth())
+			disk.Downtrains(), disk.Uptrains(), disk.DegradeLevel(),
+			disk.CurrentGen(), disk.CurrentWidth())
 	}
 	if res.Errors > 0 {
 		fmt.Printf("  dd: %d of %d requests errored\n", res.Errors, res.Requests)
@@ -394,22 +399,18 @@ func main() {
 // runTopo builds an arbitrary topology from a canned scenario name or
 // a spec string and runs dd on every disk (or the P2P workload).
 func runTopo(spec string, blockMB, gen, par int, credits pciesim.CreditConfig, p2p, reflect, dump bool, obs obscli.Flags) {
-	ts := pciesim.CannedTopo(spec)
-	if ts == nil {
-		var err error
-		ts, err = pciesim.ParseTopo(spec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pciesim: %v\n", err)
-			os.Exit(2)
-		}
+	ts, err := pciesim.LookupTopo(spec)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "pciesim: %v\n", err)
+		os.Exit(2)
 	}
-	cfg := pciesim.DefaultTopoConfig()
+	cfg := pciesim.DefaultConfig()
 	cfg.Gen = pciesim.Generation(gen)
 	cfg.Credits = credits
 	cfg.NoP2P = reflect
 	cfg.Domains = par
 	cfg.DD.StartupOverhead = cfg.DD.StartupOverhead * sim.Tick(blockMB) / 64
-	s, err := pciesim.BuildTopo(ts, cfg)
+	s, err := pciesim.Build(ts, cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pciesim: %v\n", err)
 		os.Exit(2)
@@ -499,21 +500,17 @@ func runWorkload(topoSpec string, gen, par int, credits pciesim.CreditConfig, wl
 	if topoSpec == "" {
 		topoSpec = "validation"
 	}
-	ts := pciesim.CannedTopo(topoSpec)
-	if ts == nil {
-		var err error
-		ts, err = pciesim.ParseTopo(topoSpec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pciesim: %v\n", err)
-			os.Exit(2)
-		}
+	ts, err := pciesim.LookupTopo(topoSpec)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "pciesim: %v\n", err)
+		os.Exit(2)
 	}
-	cfg := pciesim.DefaultTopoConfig()
+	cfg := pciesim.DefaultConfig()
 	cfg.Gen = pciesim.Generation(gen)
 	cfg.Credits = credits
 	cfg.EnableMSI = true // workload NIC flows exercise the MSI path
 	cfg.Domains = par
-	s, err := pciesim.BuildTopo(ts, cfg)
+	s, err := pciesim.Build(ts, cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pciesim: %v\n", err)
 		os.Exit(2)
@@ -634,30 +631,7 @@ func runCampaign(kind string, seeds int, rate float64, jobs, par, blockMB int, o
 	// the simulated block at blockMB MiB while dividing dd's fixed
 	// startup overhead, like the single-run path's proportional scaling.
 	opt := pciesim.Options{Scale: 16, BlockMB: []int{blockMB * 16}, Jobs: jobs, Par: par}
-	if obs.Active() {
-		var mu sync.Mutex
-		armed := make(map[*sim.Engine]*obscli.Flags)
-		opt.Observe = func(eng *sim.Engine, label string) error {
-			f := obs.ForRun(label)
-			if err := f.Arm(eng); err != nil {
-				return err
-			}
-			mu.Lock()
-			armed[eng] = f
-			mu.Unlock()
-			return nil
-		}
-		opt.ObserveDone = func(eng *sim.Engine, label string) error {
-			mu.Lock()
-			f := armed[eng]
-			delete(armed, eng)
-			mu.Unlock()
-			if f.Stats {
-				fmt.Printf("--- stats: %s ---\n", label)
-			}
-			return f.Finish(eng)
-		}
-	}
+	opt.Observe, opt.ObserveDone = obs.PerRun()
 	if kind == "hotplug" {
 		res, err := pciesim.RunHotplugCampaign(seeds, opt)
 		if err != nil {

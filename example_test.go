@@ -8,10 +8,13 @@ import (
 
 // Build the paper's validated platform, boot it, and run a dd block
 // read through the PCI-Express fabric.
-func ExampleNew() {
+func ExampleBuild() {
 	cfg := pciesim.DefaultConfig()
 	cfg.DD.StartupOverhead = 0 // steady-state number for a small demo block
-	sys := pciesim.New(cfg)
+	sys, err := pciesim.Build(pciesim.CannedTopo("validation"), cfg)
+	if err != nil {
+		panic(err)
+	}
 
 	topo, err := sys.Boot()
 	if err != nil {
@@ -52,13 +55,17 @@ func ExampleRunTableII() {
 func ExampleConfig() {
 	cfg := pciesim.DefaultConfig()
 	cfg.DD.StartupOverhead = 0
-	cfg.UplinkWidth = 8
-	cfg.DiskLinkWidth = 8
-	sys := pciesim.New(cfg)
+	spec := pciesim.CannedTopo("validation")
+	spec.Link("uplink").Width = 8
+	spec.Link("disklink").Width = 8
+	sys, err := pciesim.Build(spec, cfg)
+	if err != nil {
+		panic(err)
+	}
 	if _, err := sys.RunDD(1 << 20); err != nil {
 		panic(err)
 	}
-	st := sys.Uplink.Down().Stats()
+	st := sys.LinkByName("uplink").Link.Down().Stats()
 	fmt.Printf("upstream link replayed TLPs: %v\n", st.ReplaysTx > 0)
 	// Output:
 	// upstream link replayed TLPs: true

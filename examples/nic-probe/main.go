@@ -16,7 +16,10 @@ import (
 )
 
 func main() {
-	sys := pciesim.New(pciesim.DefaultConfig())
+	sys, err := pciesim.Build(pciesim.CannedTopo("validation"), pciesim.DefaultConfig())
+	if err != nil {
+		log.Fatal(err)
+	}
 	if _, err := sys.Boot(); err != nil {
 		log.Fatal(err)
 	}
@@ -47,10 +50,11 @@ func main() {
 	binary.LittleEndian.PutUint16(desc[8:], frameLen)
 	sys.DRAM.WriteFunctional(ringBase, desc)
 
+	nic := sys.NICs[0].Dev
 	txDone := kernel.NewWaiter("txdone")
-	sys.NIC.OnTransmit = func(n int) { fmt.Printf("  NIC transmitted a %d-byte frame\n", n) }
-	prev := sys.NIC.OnInterrupt
-	sys.NIC.OnInterrupt = func() { prev(); txDone.Signal() }
+	nic.OnTransmit = func(n int) { fmt.Printf("  NIC transmitted a %d-byte frame\n", n) }
+	prev := nic.OnInterrupt
+	nic.OnInterrupt = func() { prev(); txDone.Signal() }
 
 	task := sys.CPU.Spawn("tx", 0, func(t *kernel.Task) {
 		t.Write32(h.BAR0+devices.NICRegTDBAL, ringBase)
@@ -67,6 +71,6 @@ func main() {
 	if !task.Done() {
 		log.Fatal("tx task wedged")
 	}
-	tx, txBytes, _ := sys.NIC.Stats()
+	tx, txBytes, _ := nic.Stats()
 	fmt.Printf("  NIC stats: %d frame(s), %d bytes\n", tx, txBytes)
 }

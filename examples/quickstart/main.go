@@ -17,7 +17,10 @@ func main() {
 	// The demo moves a 4 MiB block instead of the paper's 64 MiB;
 	// scale dd's fixed startup cost to match (see Options.Scale).
 	cfg.DD.StartupOverhead /= 16
-	sys := pciesim.New(cfg)
+	sys, err := pciesim.Build(pciesim.CannedTopo("validation"), cfg)
+	if err != nil {
+		log.Fatalf("build: %v", err)
+	}
 
 	topo, err := sys.Boot()
 	if err != nil {
@@ -37,7 +40,7 @@ func main() {
 	}
 	fmt.Printf("dd read: %v\n", res)
 
-	st := sys.DiskLink.Down().Stats()
+	st := sys.LinkByName("disklink").Link.Down().Stats()
 	fmt.Printf("disk link: %d TLPs sent, %d ACK DLLPs received, %d replays\n",
 		st.TLPsTx, st.AcksRx, st.ReplaysTx)
 	fmt.Printf("simulated %v of virtual time in %d events\n", sys.Eng.Now(), sys.Eng.Fired())

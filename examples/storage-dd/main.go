@@ -20,13 +20,13 @@ func main() {
 	for _, mb := range blocks {
 		row := []float64{phys.DDThroughputGbps(uint64(mb) << 20)}
 		for _, width := range []int{1, 4} {
+			spec := pciesim.CannedTopo("validation")
+			spec.Link("disklink").Width = width
 			cfg := pciesim.DefaultConfig()
-			cfg.DiskLinkWidth = width
 			// Keep the startup/block ratio matched to the full-size
 			// experiment (see Options.Scale).
 			cfg.DD.StartupOverhead /= 64
-			sys := pciesim.New(cfg)
-			res, err := sys.RunDD(uint64(mb) << 20)
+			res, err := runDD(spec, cfg, uint64(mb)<<20)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -42,11 +42,19 @@ func main() {
 		cfg := pciesim.DefaultConfig()
 		cfg.DD.StartupOverhead /= 64
 		cfg.SwitchLatency = sim.Tick(ns) * sim.Nanosecond
-		sys := pciesim.New(cfg)
-		res, err := sys.RunDD(4 << 20)
+		res, err := runDD(pciesim.CannedTopo("validation"), cfg, 4<<20)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("  switch=%3dns: %.3f Gb/s\n", ns, res.ThroughputGbps())
 	}
+}
+
+// runDD builds the platform and runs one dd block read on it.
+func runDD(spec *pciesim.TopoSpec, cfg pciesim.Config, bytes uint64) (pciesim.DDResult, error) {
+	sys, err := pciesim.Build(spec, cfg)
+	if err != nil {
+		return pciesim.DDResult{}, err
+	}
+	return sys.RunDD(bytes)
 }

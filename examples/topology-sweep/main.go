@@ -26,15 +26,19 @@ func main() {
 			cfg := pciesim.DefaultConfig()
 			cfg.DD.StartupOverhead /= 64
 			cfg.Gen = gen
-			cfg.UplinkWidth = w
-			cfg.DiskLinkWidth = w
-			sys := pciesim.New(cfg)
+			spec := pciesim.CannedTopo("validation")
+			spec.Link("uplink").Width = w
+			spec.Link("disklink").Width = w
+			sys, err := pciesim.Build(spec, cfg)
+			if err != nil {
+				log.Fatal(err)
+			}
 			res, err := sys.RunDD(blockMB << 20)
 			if err != nil {
 				log.Fatal(err)
 			}
 			mark := ""
-			if st := sys.Uplink.Down().Stats(); st.ReplayRate() > 0.05 {
+			if st := sys.LinkByName("uplink").Link.Down().Stats(); st.ReplayRate() > 0.05 {
 				mark = "*" // double-digit replay: fabric congested
 			}
 			fmt.Printf("%9.2f%s", res.ThroughputGbps(), mark)

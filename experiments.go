@@ -9,6 +9,7 @@ import (
 	"pciesim/internal/fault"
 	"pciesim/internal/pcie"
 	"pciesim/internal/sim"
+	"pciesim/internal/topo"
 )
 
 // Options scales the evaluation workloads. The paper transfers single
@@ -30,12 +31,10 @@ type Options struct {
 	Jobs int
 	// Observe, when set, is called with each freshly built platform's
 	// root engine before its workload runs — the hook for installing
-	// tracers and samplers. It serves both the hardwired platform and
-	// the generic topology builder's scenario runs, which is why it
-	// receives the engine rather than a platform type. The label
-	// identifies the run ("x8@512MB", "dead"). With Jobs > 1 it is
-	// called concurrently from worker goroutines: it must only touch
-	// the engine it is handed. A non-nil error aborts the sweep.
+	// tracers and samplers. The label identifies the run ("x8@512MB",
+	// "dead"). With Jobs > 1 it is called concurrently from worker
+	// goroutines: it must only touch the engine it is handed. A non-nil
+	// error aborts the sweep.
 	Observe func(eng *sim.Engine, label string) error
 	// ObserveDone, when set, is called after the run's workload (and any
 	// straggler drain) completes, before the platform is discarded. It
@@ -72,13 +71,110 @@ func (o Options) jobs() int {
 	return o.Jobs
 }
 
-func (o Options) scaledConfig(base Config) Config {
-	base.DD.StartupOverhead /= sim.Tick(o.Scale)
-	base.Domains = o.Par
-	return base
+// config is the calibrated baseline with dd's fixed startup overhead
+// divided by Scale and the parallel engine at Par timing domains.
+func (o Options) config() Config {
+	cfg := DefaultConfig()
+	cfg.DD.StartupOverhead /= sim.Tick(o.Scale)
+	cfg.Domains = o.Par
+	return cfg
 }
 
 func (o Options) blockBytes(mb int) uint64 { return uint64(mb) << 20 / uint64(o.Scale) }
+
+// job is one independent simulation of an experiment: the platform to
+// build, the label its observability hooks and errors carry, and the
+// measurement to take on it.
+type job[T any] struct {
+	label string
+	spec  *TopoSpec
+	cfg   Config
+	run   func(sys *System) (T, error)
+}
+
+// runJobs is the experiments' one runner. It fans the jobs across
+// opt.Jobs workers; each builds its platform, hands the root engine to
+// opt.Observe, and takes its measurement. opt.ObserveDone then fires
+// serially in submission order under the same label, and the results
+// come back in that order, so the output is byte-identical at any job
+// count.
+func runJobs[T any](opt Options, jobs []job[T]) ([]T, error) {
+	out := make([]T, len(jobs))
+	type outcome struct {
+		v   T
+		eng *sim.Engine
+	}
+	err := campaign.RunCollect(opt.jobs(), len(jobs),
+		func(k int) (outcome, error) {
+			j := jobs[k]
+			sys, err := Build(j.spec, j.cfg)
+			if err != nil {
+				return outcome{}, fmt.Errorf("%s: %w", j.label, err)
+			}
+			if opt.Observe != nil {
+				if err := opt.Observe(sys.Eng, j.label); err != nil {
+					return outcome{}, err
+				}
+			}
+			v, err := j.run(sys)
+			if err != nil {
+				return outcome{}, fmt.Errorf("%s: %w", j.label, err)
+			}
+			return outcome{v: v, eng: sys.Eng}, nil
+		},
+		func(k int, o outcome) error {
+			if opt.ObserveDone != nil {
+				if err := opt.ObserveDone(o.eng, jobs[k].label); err != nil {
+					return err
+				}
+			}
+			out[k] = o.v
+			return nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// Link names of the validation platform's disk DMA path.
+const (
+	uplinkName   = "uplink"   // root port -> switch
+	diskLinkName = "disklink" // switch -> disk
+)
+
+// validation returns the §VI-A spec with the uplink and the disk link
+// both at width lanes; width 0 keeps the canned x4/x1.
+func validation(width int) *TopoSpec {
+	spec := topo.Validation()
+	if width > 0 {
+		spec.Link(uplinkName).Width = width
+		spec.Link(diskLinkName).Width = width
+	}
+	return spec
+}
+
+// withDiskFault returns cfg with plan attached to the disk link. The map
+// is fresh on every call: a fault.Plan is mutated by the link that
+// adopts it, so runs must never share one.
+func withDiskFault(cfg Config, plan *fault.Plan) Config {
+	cfg.Faults = map[string]*fault.Plan{diskLinkName: plan}
+	return cfg
+}
+
+// bootEnd boots a throwaway platform and returns the tick boot ends at.
+// Boot is deterministic, so experiments use it to place scheduled
+// faults relative to the workload.
+func bootEnd(spec *TopoSpec, cfg Config) (sim.Tick, error) {
+	sys, err := Build(spec, cfg)
+	if err != nil {
+		return 0, err
+	}
+	if _, err := sys.Boot(); err != nil {
+		return 0, err
+	}
+	return sys.Eng.Now(), nil
+}
 
 // Point is one measurement in a figure series.
 type Point struct {
@@ -107,78 +203,55 @@ type Figure struct {
 	Series []Series
 }
 
-// sweepSpec names one configuration of a figure's sweep.
+// sweepSpec names one configuration of a figure's sweep: the validation
+// platform with every disk-path link at width lanes (0 = canned) under
+// cfg.
 type sweepSpec struct {
 	label string
+	width int
 	cfg   Config
 }
 
 // runSweeps evaluates every (configuration, block size) pair of a
 // figure as one flat campaign, so Jobs > 1 overlaps runs across series
 // as well as within them — a figure of S series and B block sizes is
-// S×B independent single-threaded simulations. Results come back in
-// the exact order the serial loops produced them.
+// S×B independent single-threaded simulations.
 func runSweeps(specs []sweepSpec, opt Options) ([]Series, error) {
 	nb := len(opt.BlockMB)
-	out := make([]Series, len(specs))
-	for i, sp := range specs {
-		out[i] = Series{Label: sp.label, Points: make([]Point, nb)}
-	}
-	type outcome struct {
-		p     Point
-		sys   *System
-		label string
-	}
-	err := campaign.RunCollect(opt.jobs(), len(specs)*nb,
-		func(k int) (outcome, error) {
-			si, bi := k/nb, k%nb
-			mb := opt.BlockMB[bi]
-			sys := New(specs[si].cfg)
-			runLabel := fmt.Sprintf("%s@%dMB", specs[si].label, mb)
-			if opt.Observe != nil {
-				if err := opt.Observe(sys.Eng, runLabel); err != nil {
-					return outcome{}, err
-				}
-			}
-			res, err := sys.RunDD(opt.blockBytes(mb))
-			if err != nil {
-				return outcome{}, fmt.Errorf("%s @%dMB: %w", specs[si].label, mb, err)
-			}
-			// Congestion metrics: take the worst upstream direction
-			// across the two links on the disk's DMA path.
-			disk := sys.DiskLink.Down().Stats()
-			up := sys.Uplink.Down().Stats()
-			replay := disk.ReplayRate()
-			if r := up.ReplayRate(); r > replay {
-				replay = r
-			}
-			timeout := disk.TimeoutRate()
-			if r := up.TimeoutRate(); r > timeout {
-				timeout = r
-			}
-			return outcome{
-				p: Point{
-					X:          mb,
-					Gbps:       res.ThroughputGbps(),
-					ReplayPct:  replay * 100,
-					TimeoutPct: timeout * 100,
-					ReqLat:     res.ReqLat,
+	var jobs []job[Point]
+	for _, sp := range specs {
+		for _, mb := range opt.BlockMB {
+			jobs = append(jobs, job[Point]{
+				label: fmt.Sprintf("%s@%dMB", sp.label, mb),
+				spec:  validation(sp.width),
+				cfg:   sp.cfg,
+				run: func(sys *System) (Point, error) {
+					res, err := sys.RunDD(opt.blockBytes(mb))
+					if err != nil {
+						return Point{}, err
+					}
+					// Congestion metrics: take the worst upstream direction
+					// across the two links on the disk's DMA path.
+					disk := sys.LinkByName(diskLinkName).Link.Down().Stats()
+					up := sys.LinkByName(uplinkName).Link.Down().Stats()
+					return Point{
+						X:          mb,
+						Gbps:       res.ThroughputGbps(),
+						ReplayPct:  max(disk.ReplayRate(), up.ReplayRate()) * 100,
+						TimeoutPct: max(disk.TimeoutRate(), up.TimeoutRate()) * 100,
+						ReqLat:     res.ReqLat,
+					}, nil
 				},
-				sys:   sys,
-				label: runLabel,
-			}, nil
-		},
-		func(k int, o outcome) error {
-			if opt.ObserveDone != nil {
-				if err := opt.ObserveDone(o.sys.Eng, o.label); err != nil {
-					return err
-				}
-			}
-			out[k/nb].Points[k%nb] = o.p
-			return nil
-		})
+			})
+		}
+	}
+	points, err := runJobs(opt, jobs)
 	if err != nil {
 		return nil, err
+	}
+	out := make([]Series, len(specs))
+	for i, sp := range specs {
+		out[i] = Series{Label: sp.label, Points: points[i*nb : (i+1)*nb]}
 	}
 	return out, nil
 }
@@ -203,9 +276,9 @@ func RunFig9a(opt Options) (Figure, error) {
 
 	var specs []sweepSpec
 	for _, lat := range []sim.Tick{50, 100, 150} {
-		cfg := opt.scaledConfig(DefaultConfig())
+		cfg := opt.config()
 		cfg.SwitchLatency = lat * sim.Nanosecond
-		specs = append(specs, sweepSpec{fmt.Sprintf("L%dns", lat), cfg})
+		specs = append(specs, sweepSpec{fmt.Sprintf("L%dns", lat), 0, cfg})
 	}
 	series, err := runSweeps(specs, opt)
 	if err != nil {
@@ -222,10 +295,7 @@ func RunFig9b(opt Options) (Figure, error) {
 	fig := Figure{ID: "fig9b", Title: "dd throughput vs PCI-Express link width"}
 	var specs []sweepSpec
 	for _, w := range []int{1, 2, 4, 8} {
-		cfg := opt.scaledConfig(DefaultConfig())
-		cfg.UplinkWidth = w
-		cfg.DiskLinkWidth = w
-		specs = append(specs, sweepSpec{fmt.Sprintf("x%d", w), cfg})
+		specs = append(specs, sweepSpec{fmt.Sprintf("x%d", w), w, opt.config()})
 	}
 	series, err := runSweeps(specs, opt)
 	if err != nil {
@@ -241,11 +311,9 @@ func RunFig9c(opt Options) (Figure, error) {
 	fig := Figure{ID: "fig9c", Title: "x8 dd throughput vs replay buffer size"}
 	var specs []sweepSpec
 	for _, rb := range []int{1, 2, 3, 4} {
-		cfg := opt.scaledConfig(DefaultConfig())
-		cfg.UplinkWidth = 8
-		cfg.DiskLinkWidth = 8
+		cfg := opt.config()
 		cfg.ReplayBufferSize = rb
-		specs = append(specs, sweepSpec{fmt.Sprintf("rb%d", rb), cfg})
+		specs = append(specs, sweepSpec{fmt.Sprintf("rb%d", rb), 8, cfg})
 	}
 	series, err := runSweeps(specs, opt)
 	if err != nil {
@@ -262,11 +330,9 @@ func RunFig9d(opt Options) (Figure, error) {
 	fig := Figure{ID: "fig9d", Title: "x8 dd throughput vs switch/root port buffer size"}
 	var specs []sweepSpec
 	for _, pb := range []int{16, 20, 24, 28} {
-		cfg := opt.scaledConfig(DefaultConfig())
-		cfg.UplinkWidth = 8
-		cfg.DiskLinkWidth = 8
+		cfg := opt.config()
 		cfg.PortBufferSize = pb
-		specs = append(specs, sweepSpec{fmt.Sprintf("pb%d", pb), cfg})
+		specs = append(specs, sweepSpec{fmt.Sprintf("pb%d", pb), 8, cfg})
 	}
 	series, err := runSweeps(specs, opt)
 	if err != nil {
@@ -288,20 +354,24 @@ type TableIIRow struct {
 // independent platforms and fan across jobs workers (1 or 0 is serial).
 func RunTableII(jobs int) ([]TableIIRow, error) {
 	lats := []int{50, 75, 100, 125, 150}
-	if jobs == 0 {
-		jobs = 1
-	}
-	return campaign.Run(jobs, len(lats), func(i int) (TableIIRow, error) {
-		lat := lats[i]
+	runs := make([]job[TableIIRow], len(lats))
+	for i, lat := range lats {
 		cfg := DefaultConfig()
 		cfg.RootComplexLatency = sim.Tick(lat) * sim.Nanosecond
-		sys := New(cfg)
-		res, err := sys.MMIOProbe(64)
-		if err != nil {
-			return TableIIRow{}, err
+		runs[i] = job[TableIIRow]{
+			label: fmt.Sprintf("rc=%dns", lat),
+			spec:  validation(0),
+			cfg:   cfg,
+			run: func(sys *System) (TableIIRow, error) {
+				res, err := sys.MMIOProbe(64)
+				if err != nil {
+					return TableIIRow{}, err
+				}
+				return TableIIRow{RCLatencyNs: lat, MMIOLatencyNs: res.Avg().Nanoseconds()}, nil
+			},
 		}
-		return TableIIRow{RCLatencyNs: lat, MMIOLatencyNs: res.Avg().Nanoseconds()}, nil
-	})
+	}
+	return runJobs(Options{Jobs: jobs}, runs)
 }
 
 // TableIRow describes one overhead entry of Table I.
@@ -363,21 +433,15 @@ type ErrFigure struct {
 func RunFigErr(opt Options) (ErrFigure, error) {
 	opt = opt.normalize()
 	bytes := opt.blockBytes(opt.BlockMB[0])
-	base := opt.scaledConfig(DefaultConfig())
-	// Arm the containment mechanisms an error-exploration run needs:
-	// without them a dead link is a simulator hang, not a data point.
-	base.CompletionTimeout = 100 * sim.Microsecond
-	base.DiskCmdTimeout = 2 * sim.Millisecond
-	base.DiskDMATimeout = 500 * sim.Microsecond
+	base := contained(opt.config())
 
-	// Place link-down windows mid-transfer: boot a throwaway platform
-	// to find where dd's request stream starts (boot is deterministic).
-	probe := New(base)
-	if _, err := probe.Boot(); err != nil {
+	// Place link-down windows mid-transfer, after dd's request stream
+	// starts.
+	end, err := bootEnd(validation(0), base)
+	if err != nil {
 		return ErrFigure{}, err
 	}
-	streamStart := probe.Eng.Now() + base.DD.StartupOverhead
-	midStream := streamStart + 2*sim.Millisecond
+	midStream := end + base.DD.StartupOverhead + 2*sim.Millisecond
 
 	stochastic := func(rate float64) *fault.Plan {
 		r := fault.Rates{TLPCorrupt: rate, DLLPCorrupt: rate, Drop: rate / 2}
@@ -400,71 +464,60 @@ func RunFigErr(opt Options) (ErrFigure, error) {
 			Windows: []fault.Window{{At: midStream, Duration: 0}},
 		}},
 	}
-
-	fig := ErrFigure{Title: "dd under disk-link fault injection"}
-	fig.Points = make([]ErrPoint, len(scenarios))
-	type outcome struct {
-		p   ErrPoint
-		sys *System
+	jobs := make([]job[ErrPoint], len(scenarios))
+	for k, sc := range scenarios {
+		jobs[k] = errJob(sc.label, withDiskFault(base, sc.plan), bytes)
 	}
-	err := campaign.RunCollect(opt.jobs(), len(scenarios),
-		func(k int) (outcome, error) {
-			sc := scenarios[k]
-			cfg := base
-			cfg.DiskLinkFault = sc.plan
-			sys := New(cfg)
-			if opt.Observe != nil {
-				if err := opt.Observe(sys.Eng, sc.label); err != nil {
-					return outcome{}, err
-				}
-			}
-			res, err := sys.RunDD(bytes)
-			if err != nil {
-				return outcome{}, fmt.Errorf("figerr %s: %w", sc.label, err)
-			}
-			sys.Eng.Run() // drain stragglers a dead link strands
-			return outcome{p: errPoint(sc.label, sys, res), sys: sys}, nil
-		},
-		func(k int, o outcome) error {
-			if opt.ObserveDone != nil {
-				if err := opt.ObserveDone(o.sys.Eng, scenarios[k].label); err != nil {
-					return err
-				}
-			}
-			fig.Points[k] = o.p
-			return nil
-		})
+	points, err := runJobs(opt, jobs)
 	if err != nil {
 		return ErrFigure{}, err
 	}
-	return fig, nil
+	return ErrFigure{Title: "dd under disk-link fault injection", Points: points}, nil
+}
+
+// contained arms the containment mechanisms an error-exploration run
+// needs — RC completion timeout, driver command watchdog, device DMA
+// timeout: without them a dead link is a simulator hang, not a data
+// point.
+func contained(cfg Config) Config {
+	cfg.CompletionTimeout = 100 * sim.Microsecond
+	cfg.DiskCmdTimeout = 2 * sim.Millisecond
+	cfg.DiskDMATimeout = 500 * sim.Microsecond
+	return cfg
+}
+
+// errJob is one faulted dd run on the validation platform, drained of
+// the stragglers a dead link strands, measured as an ErrPoint.
+func errJob(label string, cfg Config, bytes uint64) job[ErrPoint] {
+	return job[ErrPoint]{label: label, spec: validation(0), cfg: cfg,
+		run: func(sys *System) (ErrPoint, error) {
+			res, err := sys.RunDD(bytes)
+			if err != nil {
+				return ErrPoint{}, err
+			}
+			sys.Eng.Run()
+			return errPoint(label, sys, res), nil
+		}}
 }
 
 // errPoint gathers one fault scenario's measurement from a finished
 // platform.
 func errPoint(label string, sys *System, res DDResult) ErrPoint {
-	up, down := sys.DiskLink.Up().Stats(), sys.DiskLink.Down().Stats()
-	replay := down.ReplayRate()
-	if r := up.ReplayRate(); r > replay {
-		replay = r
-	}
-	timeout := down.TimeoutRate()
-	if r := up.TimeoutRate(); r > timeout {
-		timeout = r
-	}
+	l := sys.LinkByName(diskLinkName).Link
+	up, down := l.Up().Stats(), l.Down().Stats()
 	ctos, _ := sys.RC.CompletionTimeouts()
 	return ErrPoint{
 		Scenario:           label,
 		Gbps:               res.ThroughputGbps(),
 		Requests:           res.Requests,
 		Errored:            res.Errors,
-		ReplayPct:          replay * 100,
-		TimeoutPct:         timeout * 100,
+		ReplayPct:          max(down.ReplayRate(), up.ReplayRate()) * 100,
+		TimeoutPct:         max(down.TimeoutRate(), up.TimeoutRate()) * 100,
 		BadDLLPs:           up.BadDLLPs + down.BadDLLPs,
 		Dropped:            up.Dropped + down.Dropped,
-		Retrains:           sys.DiskLink.Retrains(),
+		Retrains:           l.Retrains(),
 		CompletionTimeouts: ctos,
-		LinkDead:           sys.DiskLink.Dead(),
+		LinkDead:           l.Dead(),
 		ReqLat:             res.ReqLat,
 	}
 }
@@ -528,58 +581,48 @@ func RunFigFC(opt Options) (FCFigure, error) {
 	bytes := opt.blockBytes(mb)
 	sweep := []int{0, 32, 16, 8, 4, 2, 1}
 
-	fig := FCFigure{Title: "dd under completion-credit starvation", BlockMB: mb}
-	fig.Points = make([]FCPoint, len(sweep))
-	type outcome struct {
-		p   FCPoint
-		sys *System
+	jobs := make([]job[FCPoint], len(sweep))
+	for k, credits := range sweep {
+		jobs[k] = job[FCPoint]{
+			label: fmt.Sprintf("fc=%d@%dMB", credits, mb),
+			spec:  validation(0),
+			cfg:   longLinks(opt.config(), credits),
+			run: func(sys *System) (FCPoint, error) {
+				res, err := sys.RunDDWrite(bytes)
+				if err != nil {
+					return FCPoint{}, err
+				}
+				// DMA read completions reach the disk across the uplink (RC
+				// -> switch) and the disk link (switch -> disk); their
+				// transmit sides are where credit starvation stalls show.
+				disk, up := sys.LinkByName(diskLinkName).Link, sys.LinkByName(uplinkName).Link
+				return FCPoint{
+					Credits:   credits,
+					Gbps:      res.ThroughputGbps(),
+					CplStalls: disk.Up().Stats().FCStallsCpl + up.Up().Stats().FCStallsCpl,
+					UpdateFCs: disk.Up().Stats().UpdateFCTx + disk.Down().Stats().UpdateFCTx +
+						up.Up().Stats().UpdateFCTx + up.Down().Stats().UpdateFCTx,
+					ReqLat: res.ReqLat,
+				}, nil
+			},
+		}
 	}
-	err := campaign.RunCollect(opt.jobs(), len(sweep),
-		func(k int) (outcome, error) {
-			credits := sweep[k]
-			cfg := opt.scaledConfig(DefaultConfig())
-			cfg.PropDelay = figFCPropDelay
-			if credits > 0 {
-				cfg.Credits = pcie.CreditConfig{CplHdr: credits}
-			}
-			sys := New(cfg)
-			label := fmt.Sprintf("fc=%d@%dMB", credits, mb)
-			if opt.Observe != nil {
-				if err := opt.Observe(sys.Eng, label); err != nil {
-					return outcome{}, err
-				}
-			}
-			res, err := sys.RunDDWrite(bytes)
-			if err != nil {
-				return outcome{}, fmt.Errorf("figfc credits=%d: %w", credits, err)
-			}
-			// DMA read completions reach the disk across the uplink (RC ->
-			// switch) and the disk link (switch -> disk); their transmit
-			// sides are where credit starvation stalls show.
-			disk, up := sys.DiskLink, sys.Uplink
-			return outcome{p: FCPoint{
-				Credits:   credits,
-				Gbps:      res.ThroughputGbps(),
-				CplStalls: disk.Up().Stats().FCStallsCpl + up.Up().Stats().FCStallsCpl,
-				UpdateFCs: disk.Up().Stats().UpdateFCTx + disk.Down().Stats().UpdateFCTx +
-					up.Up().Stats().UpdateFCTx + up.Down().Stats().UpdateFCTx,
-				ReqLat: res.ReqLat,
-			}, sys: sys}, nil
-		},
-		func(k int, o outcome) error {
-			if opt.ObserveDone != nil {
-				label := fmt.Sprintf("fc=%d@%dMB", sweep[k], mb)
-				if err := opt.ObserveDone(o.sys.Eng, label); err != nil {
-					return err
-				}
-			}
-			fig.Points[k] = o.p
-			return nil
-		})
+	points, err := runJobs(opt, jobs)
 	if err != nil {
 		return FCFigure{}, err
 	}
-	return fig, nil
+	return FCFigure{Title: "dd under completion-credit starvation", BlockMB: mb, Points: points}, nil
+}
+
+// longLinks gives every link figFCPropDelay of propagation delay and, for
+// credits > 0, a completion header-credit pool of that size (0 keeps the
+// legacy infinite-credit protocol).
+func longLinks(cfg Config, credits int) Config {
+	cfg.PropDelay = figFCPropDelay
+	if credits > 0 {
+		cfg.Credits = pcie.CreditConfig{CplHdr: credits}
+	}
+	return cfg
 }
 
 // Format renders the credit sweep as an aligned text table.
@@ -659,67 +702,52 @@ func RunFigLat(opt Options) (LatFigure, error) {
 	mb := opt.BlockMB[0]
 	bytes := opt.blockBytes(mb)
 
-	fig := LatFigure{Title: "per-segment latency attribution, healthy vs credit-starved", BlockMB: mb}
 	runs := []struct {
 		label   string
 		credits int
-		out     *LatAttr
 	}{
-		{"baseline", 0, &fig.Baseline},
-		{fmt.Sprintf("fc=%d", latStarvedCredits), latStarvedCredits, &fig.Starved},
+		{"baseline", 0},
+		{fmt.Sprintf("fc=%d", latStarvedCredits), latStarvedCredits},
 	}
-	type outcome struct {
-		a   LatAttr
-		sys *System
+	jobs := make([]job[LatAttr], len(runs))
+	for k, r := range runs {
+		jobs[k] = job[LatAttr]{
+			label: fmt.Sprintf("lat-%s@%dMB", r.label, mb),
+			spec:  validation(0),
+			cfg:   longLinks(opt.config(), r.credits),
+			run: func(sys *System) (LatAttr, error) {
+				// Attribution needs only the seg.* histograms, not span
+				// trace events, so arm spans directly; an Observe hook may
+				// still install a tracer on top.
+				sys.Eng.ArmSpans()
+				res, err := sys.RunDDWrite(bytes)
+				if err != nil {
+					return LatAttr{}, err
+				}
+				a := LatAttr{Label: r.label, Gbps: res.ThroughputGbps(), SegTicks: make(map[string]uint64)}
+				reg := sys.Eng.Stats()
+				for _, name := range reg.HistogramNames() {
+					if !strings.HasPrefix(name, "seg.") {
+						continue
+					}
+					sum := reg.FindHistogram(name).Sum()
+					a.SegTicks[strings.TrimPrefix(name, "seg.")] = sum
+					a.Total += sum
+				}
+				return a, nil
+			},
+		}
 	}
-	err := campaign.RunCollect(opt.jobs(), len(runs),
-		func(k int) (outcome, error) {
-			cfg := opt.scaledConfig(DefaultConfig())
-			cfg.PropDelay = figFCPropDelay
-			if runs[k].credits > 0 {
-				cfg.Credits = pcie.CreditConfig{CplHdr: runs[k].credits}
-			}
-			sys := New(cfg)
-			// Attribution needs only the seg.* histograms, not span
-			// trace events, so arm spans directly; an Observe hook may
-			// still install a tracer on top.
-			sys.Eng.ArmSpans()
-			label := fmt.Sprintf("lat-%s@%dMB", runs[k].label, mb)
-			if opt.Observe != nil {
-				if err := opt.Observe(sys.Eng, label); err != nil {
-					return outcome{}, err
-				}
-			}
-			res, err := sys.RunDDWrite(bytes)
-			if err != nil {
-				return outcome{}, fmt.Errorf("figlat %s: %w", runs[k].label, err)
-			}
-			a := LatAttr{Label: runs[k].label, Gbps: res.ThroughputGbps(), SegTicks: make(map[string]uint64)}
-			reg := sys.Eng.Stats()
-			for _, name := range reg.HistogramNames() {
-				if !strings.HasPrefix(name, "seg.") {
-					continue
-				}
-				sum := reg.FindHistogram(name).Sum()
-				a.SegTicks[strings.TrimPrefix(name, "seg.")] = sum
-				a.Total += sum
-			}
-			return outcome{a: a, sys: sys}, nil
-		},
-		func(k int, o outcome) error {
-			if opt.ObserveDone != nil {
-				label := fmt.Sprintf("lat-%s@%dMB", runs[k].label, mb)
-				if err := opt.ObserveDone(o.sys.Eng, label); err != nil {
-					return err
-				}
-			}
-			*runs[k].out = o.a
-			return nil
-		})
+	attrs, err := runJobs(opt, jobs)
 	if err != nil {
 		return LatFigure{}, err
 	}
-	return fig, nil
+	return LatFigure{
+		Title:    "per-segment latency attribution, healthy vs credit-starved",
+		BlockMB:  mb,
+		Baseline: attrs[0],
+		Starved:  attrs[1],
+	}, nil
 }
 
 // segNames returns the union of both runs' segment names, sorted.
@@ -806,55 +834,19 @@ func RunFaultCampaign(seeds int, rate float64, opt Options) (CampaignResult, err
 	}
 	opt = opt.normalize()
 	bytes := opt.blockBytes(opt.BlockMB[0])
-	base := opt.scaledConfig(DefaultConfig())
-	base.CompletionTimeout = 100 * sim.Microsecond
-	base.DiskCmdTimeout = 2 * sim.Millisecond
-	base.DiskDMATimeout = 500 * sim.Microsecond
-
-	res := CampaignResult{Seeds: seeds, Rate: rate, Points: make([]ErrPoint, seeds)}
-	type outcome struct {
-		p   ErrPoint
-		sys *System
+	base := contained(opt.config())
+	jobs := make([]job[ErrPoint], seeds)
+	for k := range jobs {
+		r := fault.Rates{TLPCorrupt: rate, DLLPCorrupt: rate, Drop: rate / 2}
+		plan := &fault.Plan{Seed: uint64(k + 1), Up: fault.Profile{Rates: r}, Down: fault.Profile{Rates: r}}
+		jobs[k] = errJob(fmt.Sprintf("seed%03d", k), withDiskFault(base, plan), bytes)
 	}
-	err := campaign.RunCollect(opt.jobs(), seeds,
-		func(k int) (outcome, error) {
-			label := fmt.Sprintf("seed%03d", k)
-			// Each run builds its own plan: fault.Plan is mutated by the
-			// link that adopts it, so sharing one across runs would race.
-			r := fault.Rates{TLPCorrupt: rate, DLLPCorrupt: rate, Drop: rate / 2}
-			cfg := base
-			cfg.DiskLinkFault = &fault.Plan{
-				Seed: uint64(k + 1),
-				Up:   fault.Profile{Rates: r},
-				Down: fault.Profile{Rates: r},
-			}
-			sys := New(cfg)
-			if opt.Observe != nil {
-				if err := opt.Observe(sys.Eng, label); err != nil {
-					return outcome{}, err
-				}
-			}
-			dd, err := sys.RunDD(bytes)
-			if err != nil {
-				return outcome{}, fmt.Errorf("campaign %s: %w", label, err)
-			}
-			sys.Eng.Run() // drain stragglers
-			return outcome{p: errPoint(label, sys, dd), sys: sys}, nil
-		},
-		func(k int, o outcome) error {
-			if opt.ObserveDone != nil {
-				label := fmt.Sprintf("seed%03d", k)
-				if err := opt.ObserveDone(o.sys.Eng, label); err != nil {
-					return err
-				}
-			}
-			res.Points[k] = o.p
-			return nil
-		})
+	points, err := runJobs(opt, jobs)
 	if err != nil {
 		return CampaignResult{}, err
 	}
 
+	res := CampaignResult{Seeds: seeds, Rate: rate, Points: points}
 	gbps := make([]float64, seeds)
 	for i, p := range res.Points {
 		gbps[i] = p.Gbps
@@ -926,10 +918,14 @@ type DegradeFigure struct {
 func RunFigDegrade(opt Options) (DegradeFigure, error) {
 	opt = opt.normalize()
 	bytes := opt.blockBytes(opt.BlockMB[len(opt.BlockMB)-1])
-	base := opt.scaledConfig(DefaultConfig())
+	base := opt.config()
 	// A wide disk link gives the ladder three steps: x4 -> x2 -> x1 ->
 	// x1 @ Gen1.
-	base.DiskLinkWidth = 4
+	spec := func() *TopoSpec {
+		s := validation(0)
+		s.Link(diskLinkName).Width = 4
+		return s
+	}
 
 	// Hold each degraded level for the whole run: the first upgrade
 	// attempt lands far beyond any workload here.
@@ -944,15 +940,14 @@ func RunFigDegrade(opt Options) (DegradeFigure, error) {
 
 	// Downtrains are scheduled right after boot, spaced wider than the
 	// retrain latency so none lands mid-retrain; boot is deterministic.
-	probe := New(base)
-	if _, err := probe.Boot(); err != nil {
+	end, err := bootEnd(spec(), base)
+	if err != nil {
 		return DegradeFigure{}, err
 	}
-	bootEnd := probe.Eng.Now()
 	downs := func(n int) []sim.Tick {
 		out := make([]sim.Tick, n)
 		for i := range out {
-			out[i] = bootEnd + sim.Tick(i+1)*50*sim.Microsecond
+			out[i] = end + sim.Tick(i+1)*50*sim.Microsecond
 		}
 		return out
 	}
@@ -968,63 +963,45 @@ func RunFigDegrade(opt Options) (DegradeFigure, error) {
 		{"recovered", recov, 3},
 	}
 
-	fig := DegradeFigure{Title: "dd through adaptive link degradation (x4 Gen2 disk link)"}
-	fig.Points = make([]DegradePoint, len(scenarios))
-	type outcome struct {
-		p   DegradePoint
-		sys *System
+	jobs := make([]job[DegradePoint], len(scenarios))
+	for k, sc := range scenarios {
+		cfg := base
+		deg := sc.degrade
+		cfg.Degrade = &deg
+		if sc.downs > 0 {
+			cfg = withDiskFault(cfg, &fault.Plan{Downtrains: downs(sc.downs)})
+		}
+		jobs[k] = job[DegradePoint]{label: sc.label, spec: spec(), cfg: cfg,
+			run: func(sys *System) (DegradePoint, error) {
+				res, err := sys.RunDD(bytes)
+				if err != nil {
+					return DegradePoint{}, err
+				}
+				// Read the ladder position as dd finishes — draining the
+				// engine below fires the held upgrade timers and climbs the
+				// link back to level 0.
+				l := sys.LinkByName(diskLinkName).Link
+				p := DegradePoint{
+					Scenario:   sc.label,
+					Gbps:       res.ThroughputGbps(),
+					Requests:   res.Requests,
+					Errored:    res.Errors,
+					Downtrains: l.Downtrains(),
+					Uptrains:   l.Uptrains(),
+					Level:      l.DegradeLevel(),
+					Gen:        l.CurrentGen(),
+					Width:      l.CurrentWidth(),
+					ReqLat:     res.ReqLat,
+				}
+				sys.Eng.Run()
+				return p, nil
+			}}
 	}
-	err := campaign.RunCollect(opt.jobs(), len(scenarios),
-		func(k int) (outcome, error) {
-			sc := scenarios[k]
-			cfg := base
-			deg := sc.degrade
-			cfg.Degrade = &deg
-			if sc.downs > 0 {
-				cfg.DiskLinkFault = &fault.Plan{Downtrains: downs(sc.downs)}
-			}
-			sys := New(cfg)
-			if opt.Observe != nil {
-				if err := opt.Observe(sys.Eng, sc.label); err != nil {
-					return outcome{}, err
-				}
-			}
-			res, err := sys.RunDD(bytes)
-			if err != nil {
-				return outcome{}, fmt.Errorf("figdegrade %s: %w", sc.label, err)
-			}
-			// Read the ladder position as dd finishes — draining the
-			// engine below fires the held upgrade timers and climbs the
-			// link back to level 0.
-			l := sys.DiskLink
-			p := DegradePoint{
-				Scenario:   sc.label,
-				Gbps:       res.ThroughputGbps(),
-				Requests:   res.Requests,
-				Errored:    res.Errors,
-				Downtrains: l.Downtrains(),
-				Uptrains:   l.Uptrains(),
-				Level:      l.DegradeLevel(),
-				Gen:        l.CurrentGen(),
-				Width:      l.CurrentWidth(),
-				ReqLat:     res.ReqLat,
-			}
-			sys.Eng.Run()
-			return outcome{p: p, sys: sys}, nil
-		},
-		func(k int, o outcome) error {
-			if opt.ObserveDone != nil {
-				if err := opt.ObserveDone(o.sys.Eng, scenarios[k].label); err != nil {
-					return err
-				}
-			}
-			fig.Points[k] = o.p
-			return nil
-		})
+	points, err := runJobs(opt, jobs)
 	if err != nil {
 		return DegradeFigure{}, err
 	}
-	return fig, nil
+	return DegradeFigure{Title: "dd through adaptive link degradation (x4 Gen2 disk link)", Points: points}, nil
 }
 
 // Format renders the degradation staircase as an aligned text table.
@@ -1096,76 +1073,56 @@ func RunHotplugCampaign(seeds int, opt Options) (HotplugCampaignResult, error) {
 	}
 	opt = opt.normalize()
 	bytes := opt.blockBytes(opt.BlockMB[0])
-	base := opt.scaledConfig(DefaultConfig())
+	base := contained(opt.config())
 	base.EnableDPC = true
-	base.CompletionTimeout = 100 * sim.Microsecond
-	base.DiskCmdTimeout = 2 * sim.Millisecond
-	base.DiskDMATimeout = 500 * sim.Microsecond
 
-	probe := New(base)
-	if _, err := probe.Boot(); err != nil {
+	end, err := bootEnd(validation(0), base)
+	if err != nil {
 		return HotplugCampaignResult{}, err
 	}
-	streamStart := probe.Eng.Now() + base.DD.StartupOverhead
+	streamStart := end + base.DD.StartupOverhead
 
-	res := HotplugCampaignResult{Seeds: seeds, Points: make([]HotplugPoint, seeds)}
-	type outcome struct {
-		p   HotplugPoint
-		sys *System
+	jobs := make([]job[HotplugPoint], seeds)
+	for k := range jobs {
+		label := fmt.Sprintf("seed%03d", k)
+		// Deterministic per-seed schedule: the removal instant walks the
+		// transfer window, every fourth removal is permanent.
+		h := fault.Hotplug{RemoveAt: streamStart + sim.Tick(k*613%1500)*sim.Microsecond}
+		permanent := k%4 == 3
+		if !permanent {
+			h.ReinsertAfter = sim.Tick(200+k*97%400) * sim.Microsecond
+		}
+		jobs[k] = job[HotplugPoint]{label: label, spec: validation(0),
+			cfg: withDiskFault(base, &fault.Plan{Hotplugs: []fault.Hotplug{h}}),
+			run: func(sys *System) (HotplugPoint, error) {
+				dd, err := sys.RunDD(bytes)
+				if err != nil {
+					return HotplugPoint{}, err
+				}
+				sys.Eng.Run() // recovery polling and stragglers
+				triggers, recovered, abandoned := sys.Recovery.Counts()
+				l := sys.LinkByName(diskLinkName).Link
+				return HotplugPoint{
+					Scenario:  label,
+					Gbps:      dd.ThroughputGbps(),
+					Requests:  dd.Requests,
+					Errored:   dd.Errors,
+					Permanent: permanent,
+					Removals:  l.Removals(),
+					Reinserts: l.Reinserts(),
+					Triggers:  triggers,
+					Recovered: recovered,
+					Abandoned: abandoned,
+					ReqLat:    dd.ReqLat,
+				}, nil
+			}}
 	}
-	err := campaign.RunCollect(opt.jobs(), seeds,
-		func(k int) (outcome, error) {
-			label := fmt.Sprintf("seed%03d", k)
-			// Deterministic per-seed schedule: the removal instant walks
-			// the transfer window, every fourth removal is permanent.
-			h := fault.Hotplug{
-				RemoveAt: streamStart + sim.Tick(k*613%1500)*sim.Microsecond,
-			}
-			permanent := k%4 == 3
-			if !permanent {
-				h.ReinsertAfter = sim.Tick(200+k*97%400) * sim.Microsecond
-			}
-			cfg := base
-			cfg.DiskLinkFault = &fault.Plan{Hotplugs: []fault.Hotplug{h}}
-			sys := New(cfg)
-			if opt.Observe != nil {
-				if err := opt.Observe(sys.Eng, label); err != nil {
-					return outcome{}, err
-				}
-			}
-			dd, err := sys.RunDD(bytes)
-			if err != nil {
-				return outcome{}, fmt.Errorf("hotplug campaign %s: %w", label, err)
-			}
-			sys.Eng.Run() // recovery polling and stragglers
-			triggers, recovered, abandoned := sys.Recovery.Counts()
-			return outcome{p: HotplugPoint{
-				Scenario:  label,
-				Gbps:      dd.ThroughputGbps(),
-				Requests:  dd.Requests,
-				Errored:   dd.Errors,
-				Permanent: permanent,
-				Removals:  sys.DiskLink.Removals(),
-				Reinserts: sys.DiskLink.Reinserts(),
-				Triggers:  triggers,
-				Recovered: recovered,
-				Abandoned: abandoned,
-				ReqLat:    dd.ReqLat,
-			}, sys: sys}, nil
-		},
-		func(k int, o outcome) error {
-			if opt.ObserveDone != nil {
-				if err := opt.ObserveDone(o.sys.Eng, fmt.Sprintf("seed%03d", k)); err != nil {
-					return err
-				}
-			}
-			res.Points[k] = o.p
-			return nil
-		})
+	points, err := runJobs(opt, jobs)
 	if err != nil {
 		return HotplugCampaignResult{}, err
 	}
 
+	res := HotplugCampaignResult{Seeds: seeds, Points: points}
 	gbps := make([]float64, seeds)
 	for i, p := range res.Points {
 		gbps[i] = p.Gbps

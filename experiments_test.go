@@ -199,11 +199,11 @@ func TestDeviceLevelSectorThroughput(t *testing.T) {
 	// transferred with a throughput of 3.072 Gbps over our PCI-Express
 	// link." Our device-level number for a Gen2 x1 link must land close
 	// to the 3.05 Gb/s protocol bound.
-	s := New(DefaultConfig())
+	s := buildValidation(t, DefaultConfig())
 	if _, err := s.RunDD(512 << 10); err != nil {
 		t.Fatal(err)
 	}
-	window := s.Disk.DMAWindow() // spans the final 128 KiB command
+	window := s.Disks[0].Dev.DMAWindow() // spans the final 128 KiB command
 	sectors := 32.0
 	gbps := sectors * 4096 * 8 / window.Seconds() / 1e9
 	if gbps < 2.4 || gbps > 3.1 {

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"pciesim/internal/campaign"
-	"pciesim/internal/sim"
 	"pciesim/internal/topo"
 )
 
@@ -42,24 +40,6 @@ func (r ScenarioReport) CSV() string {
 	return b.String()
 }
 
-// scenarioRun is one independent simulation of the scenario campaign.
-// run returns the measured rows plus the run's root engine so the
-// campaign loop can invoke the ObserveDone hook on it; Observe itself
-// fires inside run, right after the platform is built.
-type scenarioRun struct {
-	label string
-	run   func() ([]ScenarioRow, *sim.Engine, error)
-}
-
-// scaledTopoConfig mirrors Options.scaledConfig for the topology-build
-// config.
-func (o Options) scaledTopoConfig() topo.Config {
-	cfg := topo.DefaultConfig()
-	cfg.DD.StartupOverhead /= sim.Tick(o.Scale)
-	cfg.Domains = o.Par
-	return cfg
-}
-
 // RunTopoSweep sweeps the block sizes of Options over an arbitrary
 // topology (a canned scenario name or a spec string), running dd on
 // every disk concurrently at each size. The result is a one-series
@@ -67,55 +47,31 @@ func (o Options) scaledTopoConfig() topo.Config {
 // into ddbench's existing table/CSV printers.
 func RunTopoSweep(spec string, opt Options) (Figure, error) {
 	opt = opt.normalize()
-	ts := CannedTopo(spec)
-	if ts == nil {
-		var err error
-		ts, err = ParseTopo(spec)
-		if err != nil {
-			return Figure{}, err
-		}
+	ts, err := topo.Lookup(spec)
+	if err != nil {
+		return Figure{}, err
 	}
 	// Normalize once up front: afterwards the spec is read-only, so the
 	// concurrent campaign runs below can share it.
 	if err := ts.Normalize(); err != nil {
 		return Figure{}, err
 	}
-	cfg := opt.scaledTopoConfig()
-	nb := len(opt.BlockMB)
-	points := make([]Point, nb)
-	type outcome struct {
-		p     Point
-		eng   *sim.Engine
-		label string
+	jobs := make([]job[Point], len(opt.BlockMB))
+	for k, mb := range opt.BlockMB {
+		jobs[k] = job[Point]{
+			label: fmt.Sprintf("%s@%dMB", ts.Name, mb),
+			spec:  ts,
+			cfg:   opt.config(),
+			run: func(sys *System) (Point, error) {
+				res, err := sys.RunDDAll(opt.blockBytes(mb))
+				if err != nil {
+					return Point{}, err
+				}
+				return Point{X: mb, Gbps: res.AggregateThroughputGbps()}, nil
+			},
+		}
 	}
-	err := campaign.RunCollect(opt.jobs(), nb,
-		func(k int) (outcome, error) {
-			sys, err := topo.Build(ts, cfg)
-			if err != nil {
-				return outcome{}, err
-			}
-			label := fmt.Sprintf("%s@%dMB", ts.Name, opt.BlockMB[k])
-			if opt.Observe != nil {
-				if err := opt.Observe(sys.Eng, label); err != nil {
-					return outcome{}, err
-				}
-			}
-			res, err := sys.RunDDAll(opt.blockBytes(opt.BlockMB[k]))
-			if err != nil {
-				return outcome{}, fmt.Errorf("%s @%dMB: %w", ts.Name, opt.BlockMB[k], err)
-			}
-			p := Point{X: opt.BlockMB[k], Gbps: res.AggregateThroughputGbps()}
-			return outcome{p: p, eng: sys.Eng, label: label}, nil
-		},
-		func(k int, o outcome) error {
-			if opt.ObserveDone != nil {
-				if err := opt.ObserveDone(o.eng, o.label); err != nil {
-					return err
-				}
-			}
-			points[k] = o.p
-			return nil
-		})
+	points, err := runJobs(opt, jobs)
 	if err != nil {
 		return Figure{}, err
 	}
@@ -134,9 +90,7 @@ func RunTopoSweep(spec string, opt Options) (Figure, error) {
 // flat campaign (every build/workload pair is an independent
 // single-threaded simulation, fanned across Options.Jobs workers):
 //
-//   - validation: the §VI-A platform built from the generic topology
-//     builder, running the 64 MiB dd read — its throughput must match
-//     the hardwired platform's (they are the same simulation).
+//   - validation: the §VI-A platform running the 64 MiB dd read.
 //   - fanout8: eight x1 disks contending for one x4 switch uplink,
 //     plus a single-disk control build for the aggregate comparison.
 //   - p2p: disk-to-NIC DMA under a shared switch, once with
@@ -153,133 +107,77 @@ func RunScenarios(names []string, opt Options) (ScenarioReport, error) {
 	selected := func(n string) bool { return len(want) == 0 || want[n] }
 
 	blockBytes := opt.blockBytes(64)
-	cfg := opt.scaledTopoConfig()
-	// observe fires the Options.Observe hook for a freshly built
-	// scenario platform; label matches the scenarioRun's.
-	observe := func(sys *topo.System, label string) error {
-		if opt.Observe == nil {
-			return nil
-		}
-		return opt.Observe(sys.Eng, label)
-	}
+	cfg := opt.config()
 
-	var runs []scenarioRun
+	var jobs []job[[]ScenarioRow]
 	if selected("validation") {
-		runs = append(runs, scenarioRun{label: "validation", run: func() ([]ScenarioRow, *sim.Engine, error) {
-			sys, err := topo.Build(topo.Validation(), cfg)
-			if err != nil {
-				return nil, nil, err
-			}
-			if err := observe(sys, "validation"); err != nil {
-				return nil, nil, err
-			}
-			res, err := sys.RunDD(blockBytes)
-			if err != nil {
-				return nil, nil, err
-			}
-			return []ScenarioRow{
-				{"validation", "dd_throughput", res.ThroughputGbps(), "Gb/s"},
-				{"validation", "dd_p50_latency", res.ReqLat.P50.Seconds() * 1e6, "us"},
-			}, sys.Eng, nil
-		}})
-	}
-	if selected("fanout8") {
-		runs = append(runs,
-			scenarioRun{label: "fanout8", run: func() ([]ScenarioRow, *sim.Engine, error) {
-				sys, err := topo.Build(topo.Fanout8(), cfg)
-				if err != nil {
-					return nil, nil, err
-				}
-				if err := observe(sys, "fanout8"); err != nil {
-					return nil, nil, err
-				}
-				res, err := sys.RunDDAll(blockBytes)
-				if err != nil {
-					return nil, nil, err
-				}
-				return []ScenarioRow{
-					{"fanout8", "aggregate_throughput", res.AggregateThroughputGbps(), "Gb/s"},
-					{"fanout8", "fairness_spread", res.FairnessSpread(), "max/min"},
-					{"fanout8", "disks", float64(len(res.PerDisk)), "count"},
-				}, sys.Eng, nil
-			}},
-			scenarioRun{label: "fanout1", run: func() ([]ScenarioRow, *sim.Engine, error) {
-				spec, err := topo.Parse("switch:x4(disk)")
-				if err != nil {
-					return nil, nil, err
-				}
-				sys, err := topo.Build(spec, cfg)
-				if err != nil {
-					return nil, nil, err
-				}
-				if err := observe(sys, "fanout1"); err != nil {
-					return nil, nil, err
-				}
+		jobs = append(jobs, job[[]ScenarioRow]{label: "validation", spec: topo.Validation(), cfg: cfg,
+			run: func(sys *System) ([]ScenarioRow, error) {
 				res, err := sys.RunDD(blockBytes)
 				if err != nil {
-					return nil, nil, err
+					return nil, err
 				}
 				return []ScenarioRow{
-					{"fanout8", "single_disk_baseline", res.ThroughputGbps(), "Gb/s"},
-				}, sys.Eng, nil
-			}},
+					{"validation", "dd_throughput", res.ThroughputGbps(), "Gb/s"},
+					{"validation", "dd_p50_latency", res.ReqLat.P50.Seconds() * 1e6, "us"},
+				}, nil
+			}})
+	}
+	if selected("fanout8") {
+		single, err := topo.Parse("switch:x4(disk)")
+		if err != nil {
+			return ScenarioReport{}, err
+		}
+		jobs = append(jobs,
+			job[[]ScenarioRow]{label: "fanout8", spec: topo.Fanout8(), cfg: cfg,
+				run: func(sys *System) ([]ScenarioRow, error) {
+					res, err := sys.RunDDAll(blockBytes)
+					if err != nil {
+						return nil, err
+					}
+					return []ScenarioRow{
+						{"fanout8", "aggregate_throughput", res.AggregateThroughputGbps(), "Gb/s"},
+						{"fanout8", "fairness_spread", res.FairnessSpread(), "max/min"},
+						{"fanout8", "disks", float64(len(res.PerDisk)), "count"},
+					}, nil
+				}},
+			job[[]ScenarioRow]{label: "fanout1", spec: single, cfg: cfg,
+				run: func(sys *System) ([]ScenarioRow, error) {
+					res, err := sys.RunDD(blockBytes)
+					if err != nil {
+						return nil, err
+					}
+					return []ScenarioRow{
+						{"fanout8", "single_disk_baseline", res.ThroughputGbps(), "Gb/s"},
+					}, nil
+				}},
 		)
 	}
 	if selected("p2p") {
-		p2pRun := func(scenario string, noP2P bool) func() ([]ScenarioRow, *sim.Engine, error) {
-			return func() ([]ScenarioRow, *sim.Engine, error) {
-				c := cfg
-				c.NoP2P = noP2P
-				sys, err := topo.Build(topo.P2P(), c)
-				if err != nil {
-					return nil, nil, err
-				}
-				if err := observe(sys, scenario); err != nil {
-					return nil, nil, err
-				}
-				res, err := sys.RunP2P(64, 4)
-				if err != nil {
-					return nil, nil, err
-				}
-				return []ScenarioRow{
-					{scenario, "p50_cmd_latency", res.CmdLat.P50.Seconds() * 1e6, "us"},
-					{scenario, "throughput", res.ThroughputGbps(), "Gb/s"},
-					{scenario, "switch_turnarounds", float64(sys.Turnarounds()), "count"},
-					{scenario, "rc_reflections", float64(sys.Reflections()), "count"},
-				}, sys.Eng, nil
-			}
+		p2pJob := func(scenario string, noP2P bool) job[[]ScenarioRow] {
+			c := cfg
+			c.NoP2P = noP2P
+			return job[[]ScenarioRow]{label: scenario, spec: topo.P2P(), cfg: c,
+				run: func(sys *System) ([]ScenarioRow, error) {
+					res, err := sys.RunP2P(64, 4)
+					if err != nil {
+						return nil, err
+					}
+					return []ScenarioRow{
+						{scenario, "p50_cmd_latency", res.CmdLat.P50.Seconds() * 1e6, "us"},
+						{scenario, "throughput", res.ThroughputGbps(), "Gb/s"},
+						{scenario, "switch_turnarounds", float64(sys.Turnarounds()), "count"},
+						{scenario, "rc_reflections", float64(sys.Reflections()), "count"},
+					}, nil
+				}}
 		}
-		runs = append(runs,
-			scenarioRun{label: "p2p", run: p2pRun("p2p", false)},
-			scenarioRun{label: "p2p-reflect", run: p2pRun("p2p-reflect", true)},
-		)
+		jobs = append(jobs, p2pJob("p2p", false), p2pJob("p2p-reflect", true))
 	}
-	if len(runs) == 0 {
+	if len(jobs) == 0 {
 		return ScenarioReport{}, fmt.Errorf("no known scenario in %v (have %v)", names, topo.CannedNames())
 	}
 
-	type outcome struct {
-		rows []ScenarioRow
-		eng  *sim.Engine
-	}
-	results := make([][]ScenarioRow, len(runs))
-	err := campaign.RunCollect(opt.jobs(), len(runs),
-		func(k int) (outcome, error) {
-			rows, eng, err := runs[k].run()
-			if err != nil {
-				return outcome{}, fmt.Errorf("scenario %s: %w", runs[k].label, err)
-			}
-			return outcome{rows: rows, eng: eng}, nil
-		},
-		func(k int, o outcome) error {
-			if opt.ObserveDone != nil {
-				if err := opt.ObserveDone(o.eng, runs[k].label); err != nil {
-					return err
-				}
-			}
-			results[k] = o.rows
-			return nil
-		})
+	results, err := runJobs(opt, jobs)
 	if err != nil {
 		return ScenarioReport{}, err
 	}

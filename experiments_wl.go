@@ -179,17 +179,13 @@ type wlOutcome struct {
 // trace on it. Every caller — campaign worker or replay check — goes
 // through here, so a run is a function of (spec, trace) alone.
 func wlExecute(spec string, tr *workload.Trace) (wlOutcome, error) {
-	ts := topo.Canned(spec)
-	if ts == nil {
-		var err error
-		ts, err = topo.Parse(spec)
-		if err != nil {
-			return wlOutcome{}, err
-		}
+	ts, err := topo.Lookup(spec)
+	if err != nil {
+		return wlOutcome{}, err
 	}
-	cfg := topo.DefaultConfig()
+	cfg := DefaultConfig()
 	cfg.EnableMSI = true // exercise the e1000e MSI interrupt path
-	sys, err := topo.Build(ts, cfg)
+	sys, err := Build(ts, cfg)
 	if err != nil {
 		return wlOutcome{}, err
 	}

@@ -28,10 +28,12 @@ func TestFCMinimalCreditsDeadlockFree(t *testing.T) {
 			cfg.Credits = CreditConfig{PostedHdr: 1, NonPostedHdr: 1, CplHdr: 1}
 			cfg.Seed = 7
 			if tc.rate > 0 {
-				cfg.DiskLinkFault = faultPlanWithDrops(tc.rate)
-				cfg.UplinkFault = faultPlanWithDrops(tc.rate)
+				cfg.Faults = map[string]*FaultPlan{
+					"disklink": faultPlanWithDrops(tc.rate),
+					"uplink":   faultPlanWithDrops(tc.rate),
+				}
 			}
-			s := New(cfg)
+			s := buildValidation(t, cfg)
 			res, err := s.RunDDWrite(256 << 10)
 			if err != nil {
 				t.Fatal(err)
@@ -41,7 +43,7 @@ func TestFCMinimalCreditsDeadlockFree(t *testing.T) {
 			}
 			// The single-credit pools must have been the bottleneck, not
 			// silently bypassed.
-			if s.DiskLink.Up().Stats().FCStallsCpl == 0 {
+			if s.LinkByName("disklink").Link.Up().Stats().FCStallsCpl == 0 {
 				t.Error("one Cpl header credit must stall the completion stream")
 			}
 			// Reads exercise the posted direction the same way.
@@ -68,14 +70,14 @@ func faultPlanWithDrops(rate float64) *FaultPlan {
 // generously-credited platform matches the legacy infinite-credit one
 // within a small flow-control DLLP overhead.
 func TestFCConfigThroughput(t *testing.T) {
-	legacy := New(DefaultConfig())
+	legacy := buildValidation(t, DefaultConfig())
 	lres, err := legacy.RunDD(512 << 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
 	cfg.Credits = UniformCredits(16)
-	fc := New(cfg)
+	fc := buildValidation(t, cfg)
 	fres, err := fc.RunDD(512 << 10)
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +85,7 @@ func TestFCConfigThroughput(t *testing.T) {
 	if ratio := fres.ThroughputGbps() / lres.ThroughputGbps(); ratio < 0.85 || ratio > 1.001 {
 		t.Errorf("credited/legacy throughput = %.3f, want just under 1 (DLLP overhead only)", ratio)
 	}
-	if fc.DiskLink.Up().Stats().UpdateFCTx == 0 {
+	if fc.LinkByName("disklink").Link.Up().Stats().UpdateFCTx == 0 {
 		t.Error("credited link must return UpdateFC DLLPs")
 	}
 }

@@ -28,8 +28,11 @@ var goldenCases = []struct {
 		cfg := DefaultConfig()
 		cfg.DD.StartupOverhead /= 16
 		cfg.Domains = domains
-		sys := New(cfg)
-		_, err := sys.RunDD(4 << 20)
+		sys, err := Build(CannedTopo("validation"), cfg)
+		if err != nil {
+			return nil, err
+		}
+		_, err = sys.RunDD(4 << 20)
 		return sys, err
 	}},
 	{"dd-faulted", func(domains int) (*System, error) {
@@ -37,15 +40,18 @@ var goldenCases = []struct {
 		cfg.DD.StartupOverhead /= 16
 		cfg.Domains = domains
 		rates := FaultRates{TLPCorrupt: 1e-3, DLLPCorrupt: 1e-3, Drop: 5e-4}
-		cfg.DiskLinkFault = &FaultPlan{
+		cfg.Faults = map[string]*FaultPlan{"disklink": {
 			Seed: 7,
 			Up:   FaultProfile{Rates: rates},
 			Down: FaultProfile{Rates: rates},
-		}
+		}}
 		cfg.CompletionTimeout = 100 * Microsecond
 		cfg.DiskCmdTimeout = 2 * Millisecond
 		cfg.DiskDMATimeout = 500 * Microsecond
-		sys := New(cfg)
+		sys, err := Build(CannedTopo("validation"), cfg)
+		if err != nil {
+			return nil, err
+		}
 		if _, err := sys.RunDD(4 << 20); err != nil {
 			return nil, err
 		}
@@ -58,10 +64,14 @@ var goldenCases = []struct {
 		cfg := DefaultConfig()
 		cfg.DD.StartupOverhead /= 16
 		cfg.Domains = domains
-		cfg.UplinkWidth = 8
-		cfg.DiskLinkWidth = 8
-		sys := New(cfg)
-		_, err := sys.RunDD(4 << 20)
+		spec := CannedTopo("validation")
+		spec.Link("uplink").Width = 8
+		spec.Link("disklink").Width = 8
+		sys, err := Build(spec, cfg)
+		if err != nil {
+			return nil, err
+		}
+		_, err = sys.RunDD(4 << 20)
 		return sys, err
 	}},
 }
@@ -131,6 +141,17 @@ func TestGoldenDumpsParallel(t *testing.T) {
 			}
 		})
 	}
+}
+
+// buildValidation builds the paper's §VI-A platform with cfg, failing
+// the test on a build error.
+func buildValidation(tb testing.TB, cfg Config) *System {
+	tb.Helper()
+	sys, err := Build(CannedTopo("validation"), cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sys
 }
 
 // firstDiff locates the first divergent line for a readable failure.
@@ -218,7 +239,7 @@ func TestCampaignEquivalence(t *testing.T) {
 func TestPacketPoolLeakCheck(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.DD.StartupOverhead /= 64
-	sys := New(cfg)
+	sys := buildValidation(t, cfg)
 	if _, err := sys.RunDD(1 << 20); err != nil {
 		t.Fatal(err)
 	}

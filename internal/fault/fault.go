@@ -325,10 +325,10 @@ func (j *Injector) DropUpdateFC(now sim.Tick) bool {
 	return j.prof.Rates.UpdateFCDrop > 0 && j.rng.Bool(j.prof.Rates.UpdateFCDrop)
 }
 
-// CorruptionPlan builds the plan equivalent to the retired
-// LinkConfig.ErrorRate knob: stochastic TLP corruption at the given
-// rate in both directions. It returns nil for rate 0 so callers can
-// assign the result unconditionally.
+// CorruptionPlan builds the single-knob error-injection plan:
+// stochastic TLP corruption at the given rate in both directions. It
+// returns nil for rate 0 so callers can assign the result
+// unconditionally.
 func CorruptionPlan(rate float64) *Plan {
 	if rate <= 0 {
 		return nil

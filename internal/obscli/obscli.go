@@ -12,6 +12,7 @@ import (
 	"io"
 	"os"
 	"strings"
+	"sync"
 
 	"pciesim/internal/sim"
 	"pciesim/internal/trace"
@@ -166,6 +167,42 @@ func (f Flags) ForRun(label string) *Flags {
 		c.Trace = suffixPath(c.Trace, label)
 	}
 	return &c
+}
+
+// PerRun returns the Observe/ObserveDone hook pair of pciesim.Options
+// for tools that run many simulations per invocation: every run gets its
+// own ForRun copy, armed when its platform is built and finished — after
+// a "--- stats: <label> ---" header when -stats prints — once it is
+// done. Observe may be called concurrently under -jobs; ObserveDone is
+// serialized by the runner, so printing there is safe. Both hooks are
+// nil when no observability flag was given.
+func (f Flags) PerRun() (observe, done func(eng *sim.Engine, label string) error) {
+	if !f.Active() {
+		return nil, nil
+	}
+	var mu sync.Mutex
+	armed := make(map[*sim.Engine]*Flags)
+	observe = func(eng *sim.Engine, label string) error {
+		c := f.ForRun(label)
+		if err := c.Arm(eng); err != nil {
+			return err
+		}
+		mu.Lock()
+		armed[eng] = c
+		mu.Unlock()
+		return nil
+	}
+	done = func(eng *sim.Engine, label string) error {
+		mu.Lock()
+		c := armed[eng]
+		delete(armed, eng)
+		mu.Unlock()
+		if c.Stats {
+			fmt.Printf("--- stats: %s ---\n", label)
+		}
+		return c.Finish(eng)
+	}
+	return observe, done
 }
 
 // suffixPath turns "stats.json" + "x8@512MB" into "stats-x8@512MB.json".

@@ -138,9 +138,8 @@ type Config struct {
 	Domains int
 }
 
-// DefaultConfig is the calibrated baseline of DESIGN.md §5 — the same
-// numbers internal/system's DefaultConfig has always used; that package
-// now derives its config from this one.
+// DefaultConfig is the calibrated baseline of DESIGN.md §5; every
+// experiment in EXPERIMENTS.md starts from it.
 func DefaultConfig() Config {
 	return Config{
 		RootComplexLatency: 150 * sim.Nanosecond,
@@ -296,6 +295,9 @@ type dpcPort struct {
 func Build(spec *Spec, cfg Config) (*System, error) {
 	if spec == nil {
 		return nil, fmt.Errorf("topo: nil spec")
+	}
+	if cfg.Gen < pcie.Gen1 || cfg.Gen > pcie.Gen3 {
+		return nil, fmt.Errorf("topo: link generation %d outside 1..3", cfg.Gen)
 	}
 	if err := spec.Normalize(); err != nil {
 		return nil, err
@@ -571,11 +573,6 @@ func (s *System) buildNode(portEng *sim.Engine, port *pcie.Port, portAERName str
 	}
 	if lcfg.Fault == nil {
 		lcfg.Fault = cfg.Faults[n.Link.Name]
-	}
-	if lcfg.Fault == nil {
-		// The spec-level stochastic-corruption knob, expressed as the
-		// equivalent fault plan (the LinkConfig.ErrorRate alias is gone).
-		lcfg.Fault = fault.CorruptionPlan(n.Link.ErrorRate)
 	}
 	if n.Link.Credits != nil {
 		lcfg.Credits = *n.Link.Credits

@@ -189,3 +189,25 @@ func TestCannedStringRoundTrip(t *testing.T) {
 		})
 	}
 }
+
+// TestLookup: a canned name resolves to its scenario, anything else goes
+// through Parse, and a malformed string is an error.
+func TestLookup(t *testing.T) {
+	s, err := Lookup("fanout8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Name != "fanout8" || len(s.Endpoints()) != 8 {
+		t.Errorf("Lookup(fanout8) = %q with %d endpoints, want the canned fanout8", s.Name, len(s.Endpoints()))
+	}
+	s, err = Lookup("switch:x4(disk*2),nic")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(s.Endpoints()); got != 3 {
+		t.Errorf("grammar lookup found %d endpoints, want 3", got)
+	}
+	if _, err := Lookup("switch(disk"); err == nil {
+		t.Error("Lookup accepted a malformed spec")
+	}
+}

@@ -20,7 +20,7 @@ import (
 // Pinning. Anything that mutates state across a link from timer events
 // or reaches the CPU synchronously must stay in the root domain:
 //
-//   - links with a fault plan (spec, Config.Faults, or ErrorRate>0) or
+//   - links with a fault plan (spec or Config.Faults) or
 //     a per-link degradation policy — the link-down/retrain/hotplug
 //     machinery mutates both interfaces from one timer;
 //   - NIC endpoints when MSI is enabled — the doorbell is a posted
@@ -55,7 +55,7 @@ func pinnedNode(n *Node, cfg Config) bool {
 		}
 	}
 	l := n.Link
-	if l.Fault != nil || l.Degrade != nil || l.ErrorRate > 0 {
+	if l.Fault != nil || l.Degrade != nil {
 		return true
 	}
 	return cfg.Faults[l.Name] != nil

@@ -3,8 +3,9 @@
 // root complex — any number of root ports, cascaded switches with any
 // fanout, and any mix of endpoint devices at any lane width — and Build
 // instantiates it on the same CPU/DRAM/IOCache substrate the validation
-// platform uses. The hardwired topology of §VI-A (internal/system) is
-// just the canned Validation spec.
+// platform uses. The paper's §VI-A platform is just the canned
+// Validation spec; its sweeps are edits to that spec (link widths via
+// Spec.Link) and to the Config (fault plans via Config.Faults).
 //
 // Specs come from three places: Go code (the canned scenarios), the
 // compact text grammar of Parse ("switch:x4(disk*8)"), or JSON. Bus
@@ -44,9 +45,6 @@ type LinkSpec struct {
 	// Gen overrides the platform generation for this link (0 = inherit
 	// Config.Gen).
 	Gen pcie.Generation `json:"gen,omitempty"`
-	// ErrorRate injects stochastic TLP corruption (legacy single-knob
-	// interface; Fault is the general mechanism).
-	ErrorRate float64 `json:"error_rate,omitempty"`
 	// Credits overrides the platform-wide credit configuration
 	// (Config.Credits) for this link: the VC0 flow-control pool both
 	// ends advertise, with router-side ends capped at their real queue
@@ -158,6 +156,19 @@ func (s *Spec) walk(fn func(*Node)) {
 	}
 }
 
+// Link returns the spec of the link with the given name, or nil. Names
+// set in the spec resolve at once; auto-generated "<node>.link" names
+// exist only after Normalize.
+func (s *Spec) Link(name string) *LinkSpec {
+	var out *LinkSpec
+	s.walk(func(n *Node) {
+		if out == nil && n.Link.Name == name {
+			out = &n.Link
+		}
+	})
+	return out
+}
+
 // Validate checks structural legality. Every way a spec can be wrong
 // returns an error — never a panic — so untrusted specs (the -topo
 // flag, the fuzzer) are safe to feed through.
@@ -196,9 +207,6 @@ func (s *Spec) Validate() error {
 		}
 		if n.Link.Gen < 0 || n.Link.Gen > pcie.Gen3 {
 			return fmt.Errorf("topo: node %q link generation %d outside 0..3", n.Name, n.Link.Gen)
-		}
-		if n.Link.ErrorRate < 0 || n.Link.ErrorRate > 1 {
-			return fmt.Errorf("topo: node %q link error rate %g outside [0,1]", n.Name, n.Link.ErrorRate)
 		}
 		if n.Dom < 0 || n.Dom >= MaxBuses {
 			return fmt.Errorf("topo: node %q timing domain %d outside 0..%d", n.Name, n.Dom, MaxBuses-1)
@@ -314,8 +322,10 @@ func (s *Spec) Endpoints() []*Node {
 
 // Validation is the paper's §VI-A platform: a disk behind an x4-uplink
 // switch on root port 0, the NIC directly on root port 1, and a third,
-// empty root port. Names match the hardwired internal/system topology
-// so the stats namespace is byte-identical.
+// empty root port. Its node and link names are the stats namespace the
+// golden dumps pin, and the link names ("uplink", "disklink",
+// "niclink") are the handles experiments edit widths and attach fault
+// plans through.
 func Validation() *Spec {
 	return &Spec{Name: "validation", RootPorts: []*Node{
 		{
@@ -370,3 +380,12 @@ func Canned(name string) *Spec {
 
 // CannedNames lists the canned scenario names.
 func CannedNames() []string { return []string{"validation", "fanout8", "p2p"} }
+
+// Lookup resolves a -topo style argument: a canned scenario name yields
+// that scenario, anything else is parsed as grammar or JSON.
+func Lookup(s string) (*Spec, error) {
+	if spec := Canned(s); spec != nil {
+		return spec, nil
+	}
+	return Parse(s)
+}

@@ -3,6 +3,7 @@ package topo
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"pciesim/internal/pci"
@@ -69,7 +70,6 @@ func TestIllegalSpecs(t *testing.T) {
 		{"width out of range", &Spec{RootPorts: []*Node{{Kind: KindDisk, Link: LinkSpec{Width: 33}}}}},
 		{"negative width", &Spec{RootPorts: []*Node{{Kind: KindDisk, Link: LinkSpec{Width: -1}}}}},
 		{"generation out of range", &Spec{RootPorts: []*Node{{Kind: KindDisk, Link: LinkSpec{Gen: 9}}}}},
-		{"error rate out of range", &Spec{RootPorts: []*Node{{Kind: KindDisk, Link: LinkSpec{ErrorRate: 1.5}}}}},
 		{"switch fanout 0", &Spec{RootPorts: []*Node{{Kind: KindSwitch}}}},
 		{"switch fanout 33", &Spec{RootPorts: []*Node{{Kind: KindSwitch, Ports: wide}}}},
 		{"endpoint with ports", &Spec{RootPorts: []*Node{
@@ -264,5 +264,35 @@ func TestCannedSpecsBuild(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestBuildRejectsBadGeneration: a platform generation outside
+// Gen1..Gen3 is a build error, not a panic once the links start
+// serializing at boot.
+func TestBuildRejectsBadGeneration(t *testing.T) {
+	for _, gen := range []pcie.Generation{-1, 0, 4, 7} {
+		cfg := DefaultConfig()
+		cfg.Gen = gen
+		if _, err := Build(Validation(), cfg); err == nil {
+			t.Errorf("Build accepted Config.Gen = %d", gen)
+		}
+	}
+}
+
+// TestSpecLink: Link finds a named link for editing, and an edit that
+// leaves the legal range fails the build.
+func TestSpecLink(t *testing.T) {
+	s := Validation()
+	if s.Link("nosuchlink") != nil {
+		t.Error("Link found a link that does not exist")
+	}
+	s.Link("disklink").Width = 8
+	if got := s.RootPorts[0].Ports[0].Link.Width; got != 8 {
+		t.Errorf("disk link width = %d after the edit, want 8", got)
+	}
+	s.Link("uplink").Width = 64
+	if _, err := Build(s, DefaultConfig()); err == nil || !strings.Contains(err.Error(), "x64 outside 1..32") {
+		t.Errorf("Build of an x64 uplink: err = %v", err)
 	}
 }

@@ -19,15 +19,16 @@ func faultObsConfig(t *testing.T) Config {
 	cfg.DiskCmdTimeout = 2 * Millisecond
 	cfg.DiskDMATimeout = 500 * Microsecond
 	r := FaultRates{TLPCorrupt: 1e-2, DLLPCorrupt: 1e-2, Drop: 5e-3}
-	cfg.DiskLinkFault = &FaultPlan{Seed: 7, Up: FaultProfile{Rates: r}, Down: FaultProfile{Rates: r}}
+	plan := &FaultPlan{Seed: 7, Up: FaultProfile{Rates: r}, Down: FaultProfile{Rates: r}}
+	cfg.Faults = map[string]*FaultPlan{"disklink": plan}
 
 	// Kill the link mid-stream (boot is deterministic, so probing one
 	// throwaway platform places the window identically for every run).
-	probe := New(cfg)
+	probe := buildValidation(t, cfg)
 	if _, err := probe.Boot(); err != nil {
 		t.Fatal(err)
 	}
-	cfg.DiskLinkFault.Windows = []FaultWindow{{
+	plan.Windows = []FaultWindow{{
 		At: probe.Eng.Now() + cfg.DD.StartupOverhead + 500*Microsecond,
 	}}
 	return cfg
@@ -37,7 +38,7 @@ func faultObsConfig(t *testing.T) Config {
 // drains stragglers, leaving the engine stopped for dumping.
 func runFaulted(t *testing.T, cfg Config) *System {
 	t.Helper()
-	s := New(cfg)
+	s := buildValidation(t, cfg)
 	s.Eng.SampleEvery(100 * Microsecond)
 	if _, err := s.RunDD(256 << 10); err != nil {
 		t.Fatal(err)
@@ -144,7 +145,7 @@ func TestTracingDisabledCostsNoAllocations(t *testing.T) {
 	run := func(masked bool) uint64 {
 		cfg := DefaultConfig()
 		cfg.DD.StartupOverhead /= 64
-		s := New(cfg)
+		s := buildValidation(t, cfg)
 		if masked {
 			s.Eng.SetTracer(NewTracer(0))
 		}

@@ -6,8 +6,11 @@
 // The package offers three levels of API:
 //
 //   - System: the assembled platform (CPU/OS model, MemBus, IOCache,
-//     DRAM, PCI host, root complex, switch, links, disk, NIC). Build
-//     one with New(DefaultConfig()), Boot it, and drive workloads.
+//     DRAM, PCI host, root complex, and whatever fabric a TopoSpec
+//     describes). Build(CannedTopo("validation"), DefaultConfig())
+//     assembles the paper's §VI-A platform; Boot it and drive
+//     workloads. Platform variants are edits to the spec (link widths
+//     via TopoSpec.Link) or to the Config, never a second builder.
 //   - Experiments: one runner per table/figure of the paper's
 //     evaluation (RunFig9a..RunFig9d, RunTableII, TableI), producing
 //     structured results that the cmd/ddbench and cmd/mmiolat tools
@@ -26,18 +29,23 @@ import (
 	"pciesim/internal/phys"
 	"pciesim/internal/sim"
 	"pciesim/internal/stats"
-	"pciesim/internal/system"
 	"pciesim/internal/topo"
 	"pciesim/internal/trace"
 	"pciesim/internal/workload"
 )
 
-// Config is the full platform configuration. Obtain a calibrated
-// baseline from DefaultConfig and override individual fields.
-type Config = system.Config
+// Config is the topology-independent platform configuration: fabric
+// latencies and buffers, substrate calibration, the OS model, and
+// per-link fault plans (Faults, keyed by link name). Obtain a
+// calibrated baseline from DefaultConfig and override individual
+// fields.
+type Config = topo.Config
 
-// System is the assembled simulated platform.
-type System = system.System
+// System is a simulated platform assembled by Build: the validation
+// substrate under the fabric its TopoSpec described. Reach fabric
+// components through its inventory — LinkByName("disklink").Link,
+// Disks[0].Dev, NICs[0].Dev.
+type System = topo.System
 
 // DDResult reports one dd run.
 type DDResult = kernel.DDResult
@@ -94,8 +102,9 @@ type PhysConfig = phys.Config
 
 // FaultPlan is a deterministic per-link fault-injection schedule:
 // stochastic TLP/DLLP corruption and drop rates per direction, scripted
-// one-shot events, and surprise link-down windows. Assign one to
-// Config.UplinkFault, Config.DiskLinkFault or Config.NICLinkFault.
+// one-shot events, and surprise link-down windows. Attach one to a link
+// through Config.Faults, keyed by link name ("disklink" on the
+// validation platform).
 type FaultPlan = fault.Plan
 
 // FaultRates are per-packet injection probabilities.
@@ -139,7 +148,7 @@ type AERRecord = kernel.AERRecord
 
 // LinkErrorSummary pairs a link's name with both directions' error
 // counters and its recovery state.
-type LinkErrorSummary = system.LinkErrorSummary
+type LinkErrorSummary = topo.LinkErrorSummary
 
 // --- observability (DESIGN.md §8) ---
 
@@ -198,14 +207,6 @@ type TopoSpec = topo.Spec
 // TopoNode is one element of a TopoSpec tree.
 type TopoNode = topo.Node
 
-// TopoConfig is the topology-independent platform configuration used
-// by BuildTopo.
-type TopoConfig = topo.Config
-
-// TopoSystem is a platform assembled from a TopoSpec: the validation
-// substrate under an arbitrary fabric.
-type TopoSystem = topo.System
-
 // ParseTopo parses the compact topology grammar ("switch:x4(disk*8)")
 // or, when the input starts with "{", the JSON form of TopoSpec.
 func ParseTopo(s string) (*TopoSpec, error) { return topo.Parse(s) }
@@ -217,11 +218,9 @@ func CannedTopo(name string) *TopoSpec { return topo.Canned(name) }
 // CannedTopoNames lists the canned scenario names.
 func CannedTopoNames() []string { return topo.CannedNames() }
 
-// DefaultTopoConfig returns the calibrated baseline build config.
-func DefaultTopoConfig() TopoConfig { return topo.DefaultConfig() }
-
-// BuildTopo assembles a platform from a topology spec.
-func BuildTopo(spec *TopoSpec, cfg TopoConfig) (*TopoSystem, error) { return topo.Build(spec, cfg) }
+// LookupTopo resolves a -topo argument: a canned scenario name, else
+// the grammar or JSON form ParseTopo accepts.
+func LookupTopo(s string) (*TopoSpec, error) { return topo.Lookup(s) }
 
 // --- workload engines (DESIGN.md §14) ---
 
@@ -270,7 +269,7 @@ func SynthesizeWorkload(flows []WorkloadFlowSpec) (*WorkloadTrace, error) {
 }
 
 // RunWorkload executes a trace against a topology platform.
-func RunWorkload(sys *TopoSystem, tr *WorkloadTrace, cfg WorkloadRunConfig) (WorkloadResult, error) {
+func RunWorkload(sys *System, tr *WorkloadTrace, cfg WorkloadRunConfig) (WorkloadResult, error) {
 	return workload.Run(sys, tr, cfg)
 }
 
@@ -283,10 +282,13 @@ func ParseWorkloadEngine(s string) (WorkloadEngine, error) { return workload.Par
 func WorkloadEngineNames() []string { return workload.EngineNames() }
 
 // DefaultConfig returns the paper's validated baseline configuration.
-func DefaultConfig() Config { return system.DefaultConfig() }
+func DefaultConfig() Config { return topo.DefaultConfig() }
 
 // DefaultPhysConfig returns the §VI-A physical testbed parameters.
 func DefaultPhysConfig() PhysConfig { return phys.DefaultConfig() }
 
-// New builds a platform from the configuration.
-func New(cfg Config) *System { return system.New(cfg) }
+// Build normalizes the spec, checks it and the configuration, and
+// assembles the platform, ready to Boot. It is the one platform
+// constructor: the paper's platform is Build(CannedTopo("validation"),
+// DefaultConfig()).
+func Build(spec *TopoSpec, cfg Config) (*System, error) { return topo.Build(spec, cfg) }

@@ -23,7 +23,7 @@ func spanObsConfig(t *testing.T) Config {
 // rather than an orphaned begin.
 func TestSpanTraceBalanced(t *testing.T) {
 	cfg := spanObsConfig(t)
-	s := New(cfg)
+	s := buildValidation(t, cfg)
 	tr := NewTracer(TraceSpan)
 	s.Eng.SetTracer(tr)
 	s.Eng.ArmSpans()
@@ -116,7 +116,7 @@ func TestUnarmedSpansDumpIdentical(t *testing.T) {
 	dump := func(arm func(*System)) []byte {
 		cfg := DefaultConfig()
 		cfg.DD.StartupOverhead /= 64
-		s := New(cfg)
+		s := buildValidation(t, cfg)
 		arm(s)
 		if _, err := s.RunDD(256 << 10); err != nil {
 			t.Fatal(err)
@@ -146,7 +146,7 @@ func TestUnarmedSpansDumpIdentical(t *testing.T) {
 // the reproducible half of the profile — to be byte-identical.
 func TestProfilerCountsDeterministic(t *testing.T) {
 	table := func() ([]byte, uint64) {
-		s := New(spanObsConfig(t))
+		s := buildValidation(t, spanObsConfig(t))
 		prof := s.Eng.Profile()
 		if _, err := s.RunDD(256 << 10); err != nil {
 			t.Fatal(err)
@@ -228,7 +228,7 @@ func TestFigLatShape(t *testing.T) {
 func TestStatsStreamNDJSON(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.DD.StartupOverhead /= 64
-	s := New(cfg)
+	s := buildValidation(t, cfg)
 	s.Eng.SampleEvery(100 * Microsecond)
 	var buf bytes.Buffer
 	s.Eng.Stats().Sampler().StreamTo(&buf)
@@ -269,7 +269,7 @@ func TestStatsStreamNDJSON(t *testing.T) {
 func TestStatsCSVSeriesRows(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.DD.StartupOverhead /= 64
-	s := New(cfg)
+	s := buildValidation(t, cfg)
 	s.Eng.SampleEvery(100 * Microsecond)
 	if _, err := s.RunDD(256 << 10); err != nil {
 		t.Fatal(err)
@@ -321,7 +321,7 @@ func TestParseTraceCategoriesUnknown(t *testing.T) {
 func TestEngineCountersRegistered(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.DD.StartupOverhead /= 64
-	s := New(cfg)
+	s := buildValidation(t, cfg)
 	if _, err := s.RunDD(256 << 10); err != nil {
 		t.Fatal(err)
 	}

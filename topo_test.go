@@ -49,9 +49,9 @@ func TestTopoGoldenEnumeration(t *testing.T) {
 
 // TestTopoValidationMatchesGolden is the byte-for-byte conformance
 // check of the topology builder: building the validation platform
-// directly through internal/topo (bypassing the internal/system
-// wrapper) and running the dd-baseline workload must reproduce the
-// exact golden stats dump that the hardwired platform pinned — every
+// directly through internal/topo (bypassing the pciesim aliases) and
+// running the dd-baseline workload must reproduce the exact golden
+// stats dump that the original hardwired platform pinned — every
 // counter, every histogram bucket, every tick.
 func TestTopoValidationMatchesGolden(t *testing.T) {
 	cfg := topo.DefaultConfig()
