@@ -6,6 +6,16 @@
 //
 //	pciesim -uplink 8 -disklink 8 -replaybuf 4 -portbuf 16 -block 8
 //
+// Every single-run mode builds its platform from the same flags: the
+// default dd, -topo (dd on every disk of an arbitrary fabric), -p2p
+// (peer-to-peer DMA), -dump-topo (the lspci-style enumeration),
+// -workload and -trace-in, on -topo's fabric, by default "validation".
+// A flag the selected mode does not use is an error, never silently
+// dropped, and -block must be a positive number of MiB:
+//
+//	pciesim -topo fanout8 -block 1 -switchlat 50
+//	pciesim -topo p2p -p2p -reflect
+//
 // Fault injection arms a deterministic FaultPlan on the disk link and
 // the containment machinery that keeps a faulted run terminating:
 //
@@ -46,7 +56,8 @@
 // -jobs workers and reports the outcome distribution. kind=fault (the
 // default) stochastically corrupts the disk link, one RNG seed per
 // run; kind=hotplug yanks the disk on K deterministic schedules, every
-// fourth one permanent:
+// fourth one permanent. Campaign runs configure their own platform, so
+// only -block, -jobs, -par and the observability flags apply:
 //
 //	pciesim -campaign seeds=32 -jobs -1
 //	pciesim -campaign kind=fault,seeds=64,rate=1e-2 -jobs 4
@@ -66,9 +77,11 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -92,13 +105,7 @@ func parseCampaign(spec string) (kind string, seeds int, rate float64, err error
 		}
 		switch k {
 		case "kind":
-			valid := false
-			for _, known := range campaignKinds {
-				if v == known {
-					valid = true
-				}
-			}
-			if !valid {
+			if !slices.Contains(campaignKinds, v) {
 				return "", 0, 0, fmt.Errorf("campaign: unknown kind %q (valid kinds: %s)",
 					v, strings.Join(campaignKinds, ", "))
 			}
@@ -161,216 +168,294 @@ func parseHotplug(spec string) (pciesim.FaultHotplug, error) {
 	return h, nil
 }
 
-func main() {
-	gen := flag.Int("gen", 2, "PCI-Express generation for all links (1-3)")
-	uplink := flag.Int("uplink", 4, "root-port to switch link width (lanes)")
-	disklink := flag.Int("disklink", 1, "switch to disk link width (lanes)")
-	replayBuf := flag.Int("replaybuf", 4, "link replay buffer size (TLPs)")
-	portBuf := flag.Int("portbuf", 16, "switch/root port buffer size (packets)")
-	switchLat := flag.Int("switchlat", 150, "switch latency (ns)")
-	rcLat := flag.Int("rclat", 150, "root complex latency (ns)")
-	blockMB := flag.Int("block", 4, "dd block size (MiB)")
-	msi := flag.Bool("msi", false, "extend the platform with an MSI doorbell frame")
-	posted := flag.Bool("posted", false, "use posted DMA writes (the paper's future-work ablation)")
-	errRate := flag.Float64("errrate", 0, "disk-link per-TLP corruption probability")
-	dllpRate := flag.Float64("dllprate", 0, "disk-link per-DLLP (ACK/NAK) corruption probability")
-	dropRate := flag.Float64("droprate", 0, "disk-link per-packet wire-drop probability")
-	faultSeed := flag.Uint64("faultseed", 1, "fault-injection RNG seed (runs replay bit-identically)")
-	downAt := flag.Int("downat", -1, "surprise link-down start (us of simulated time; -1 disables)")
-	downDur := flag.Int("downdur", 0, "link-down window length (us; 0 = down for good)")
-	retrain := flag.Int("retrain", 20, "retrain latency after a finite down window (us)")
-	cto := flag.Int("cto", 100, "root-complex completion timeout when faults are armed (us; 0 disables)")
-	hotplugSpec := flag.String("hotplug", "", "surprise-remove the disk: at=US[,reinsert=US] (arms DPC containment and the kernel recovery driver)")
-	dpc := flag.Bool("dpc", false, "arm Downstream Port Containment on every port plus the kernel DPC/hot-plug recovery driver")
-	degrade := flag.Bool("degrade", false, "arm adaptive link degradation: sustained link errors downtrain width/generation, upgrade retrains back off exponentially")
-	campaignSpec := flag.String("campaign", "", "Monte-Carlo campaign: [kind=fault|hotplug,]seeds=K[,rate=R] dd runs (fault: distinct RNG seeds; hotplug: deterministic removal schedules)")
-	jobs := flag.Int("jobs", 1, "parallel campaign runs (-1 = one per CPU); output is identical at any value")
-	par := flag.Int("par", 0, "timing domains for the conservative parallel engine (0 or 1 = serial); output is identical at any value")
-	creditSpec := flag.String("credits", "", "VC0 flow-control credits per link: empty/\"inf\" = legacy infinite, N = uniform, or k=v pairs (ph,pd,nh,nd,ch,cd)")
-	topoSpec := flag.String("topo", "", "arbitrary topology: a canned scenario (validation, fanout8, p2p) or a spec like \"switch:x4(disk*8)\"")
-	workloadSpec := flag.String("workload", "", "run a synthetic workload engine instead of dd: arrival-op (e.g. poisson-rx, bursty-read), fanned across every matching endpoint of the topology")
-	traceIn := flag.String("trace-in", "", "replay a captured workload trace file instead of running dd")
-	wlCapture := flag.String("wl-capture", "", "with -workload: write the materialized schedule to this file as a replayable trace")
-	wlOps := flag.Int("wl-ops", 300, "with -workload: operations per flow")
-	wlGap := flag.Int("wl-gap", 12, "with -workload: mean inter-arrival gap per flow (us)")
-	wlLen := flag.Int("wl-len", 0, "with -workload: bytes per operation (0 = 1500 for rx/tx frames, 4096 for read/write)")
-	wlBurst := flag.Int("wl-burst", 16, "with -workload bursty-*: operations per burst")
-	wlSeed := flag.Uint64("wl-seed", 1, "with -workload: RNG seed (flow i uses seed+i; runs replay bit-identically)")
-	p2p := flag.Bool("p2p", false, "with -topo: run the peer-to-peer DMA workload instead of dd")
-	reflect := flag.Bool("reflect", false, "with -topo: disable switch-level P2P turnaround (peer traffic reflects off the root complex)")
-	dumpTopo := flag.Bool("dump-topo", false, "with -topo: print the lspci-style enumeration dump and exit")
-	var obs obscli.Flags
-	obs.Register(flag.CommandLine)
-	flag.Parse()
+// Platform flags: build applies them in every single-run mode.
+var (
+	gen         = flag.Int("gen", 2, "PCI-Express generation for all links (1-3)")
+	uplink      = flag.Int("uplink", 4, "root-port to switch link width (lanes); the topology needs a link named uplink")
+	disklink    = flag.Int("disklink", 1, "switch to disk link width (lanes); the topology needs a link named disklink")
+	replayBuf   = flag.Int("replaybuf", 4, "link replay buffer size (TLPs)")
+	portBuf     = flag.Int("portbuf", 16, "switch/root port buffer size (packets)")
+	switchLat   = flag.Int("switchlat", 150, "switch latency (ns)")
+	rcLat       = flag.Int("rclat", 150, "root complex latency (ns)")
+	msi         = flag.Bool("msi", false, "extend the platform with an MSI doorbell frame")
+	posted      = flag.Bool("posted", false, "use posted DMA writes (the paper's future-work ablation)")
+	creditSpec  = flag.String("credits", "", "VC0 flow-control credits per link: empty/\"inf\" = legacy infinite, N = uniform, or k=v pairs (ph,pd,nh,nd,ch,cd)")
+	reflect     = flag.Bool("reflect", false, "disable switch-level P2P turnaround (peer traffic reflects off the root complex)")
+	topoSpec    = flag.String("topo", "", "arbitrary topology: a canned scenario (validation, fanout8, p2p) or a spec like \"switch:x4(disk*8)\"; runs dd on every disk")
+	errRate     = flag.Float64("errrate", 0, "disk-link per-TLP corruption probability")
+	dllpRate    = flag.Float64("dllprate", 0, "disk-link per-DLLP (ACK/NAK) corruption probability")
+	dropRate    = flag.Float64("droprate", 0, "disk-link per-packet wire-drop probability")
+	faultSeed   = flag.Uint64("faultseed", 1, "fault-injection RNG seed (runs replay bit-identically)")
+	downAt      = flag.Int("downat", -1, "surprise link-down start (us of simulated time; -1 disables)")
+	downDur     = flag.Int("downdur", 0, "link-down window length (us; 0 = down for good)")
+	retrain     = flag.Int("retrain", 20, "retrain latency after a finite down window (us)")
+	cto         = flag.Int("cto", 100, "root-complex completion timeout when faults are armed (us; 0 disables)")
+	hotplugSpec = flag.String("hotplug", "", "surprise-remove the disk: at=US[,reinsert=US] (arms DPC containment and the kernel recovery driver)")
+	dpc         = flag.Bool("dpc", false, "arm Downstream Port Containment on every port plus the kernel DPC/hot-plug recovery driver")
+	degrade     = flag.Bool("degrade", false, "arm adaptive link degradation: sustained link errors downtrain width/generation, upgrade retrains back off exponentially")
+)
 
-	credits, err := pciesim.ParseCredits(*creditSpec)
+// Run-mode flags and the observability flags.
+var (
+	blockMB      = flag.Int("block", 4, "dd block size (MiB; positive)")
+	campaignSpec = flag.String("campaign", "", "Monte-Carlo campaign: [kind=fault|hotplug,]seeds=K[,rate=R] dd runs (fault: distinct RNG seeds; hotplug: deterministic removal schedules)")
+	jobs         = flag.Int("jobs", 1, "parallel campaign runs (-1 = one per CPU); output is identical at any value")
+	par          = flag.Int("par", 0, "timing domains for the conservative parallel engine (0 or 1 = serial); output is identical at any value")
+	workloadSpec = flag.String("workload", "", "run a synthetic workload engine instead of dd: arrival-op (e.g. poisson-rx, bursty-read), fanned across every matching endpoint of the topology")
+	traceIn      = flag.String("trace-in", "", "replay a captured workload trace file instead of running dd")
+	wlCapture    = flag.String("wl-capture", "", "with -workload: write the materialized schedule to this file as a replayable trace")
+	wlOps        = flag.Int("wl-ops", 300, "with -workload: operations per flow")
+	wlGap        = flag.Int("wl-gap", 12, "with -workload: mean inter-arrival gap per flow (us)")
+	wlLen        = flag.Int("wl-len", 0, "with -workload: bytes per operation (0 = 1500 for rx/tx frames, 4096 for read/write)")
+	wlBurst      = flag.Int("wl-burst", 16, "with -workload bursty-*: operations per burst")
+	wlSeed       = flag.Uint64("wl-seed", 1, "with -workload: RNG seed (flow i uses seed+i; runs replay bit-identically)")
+	p2p          = flag.Bool("p2p", false, "run the peer-to-peer DMA workload instead of dd")
+	dumpTopo     = flag.Bool("dump-topo", false, "print the lspci-style enumeration dump instead of running dd")
+
+	// obs holds the observability flags, which every mode reads;
+	// obsFlags registers them apart so reads can recognize them.
+	obs      obscli.Flags
+	obsFlags = flag.NewFlagSet("obs", flag.ContinueOnError)
+	// given lists the flags set on the command line, in name order.
+	given []string
+)
+
+func main() {
+	obs.Register(obsFlags)
+	obsFlags.VisitAll(func(f *flag.Flag) { flag.Var(f.Value, f.Name, f.Usage) })
+	flag.Parse()
+	flag.Visit(func(f *flag.Flag) { given = append(given, f.Name) })
+	mode, err := runMode()
+	exitOn(2, err)
+	if mode == "campaign" {
+		kind, seeds, rate, err := parseCampaign(*campaignSpec)
+		exitOn(2, err)
+		res, err := runCampaign(kind, seeds, rate)
+		exitOn(1, err)
+		fmt.Print(res.Format())
+		return
+	}
+	s, err := build(mode)
+	exitOn(2, err)
+	exitOn(2, obs.Arm(s.Eng))
+	var tr *pciesim.WorkloadTrace
+	if mode == "workload" || mode == "trace-in" {
+		tr, err = loadWorkload(s)
+		exitOn(2, err)
+	}
+	tp, err := s.Boot()
+	exitOn(1, err)
+	switch mode {
+	case "":
+		fmt.Printf("booted: %d PCI functions on %d buses; NIC interrupts via %v\n",
+			len(tp.All), tp.Buses, s.NICDriver.Handle.IntMode)
+		err = reportDD(s)
+	case "topo", "p2p":
+		fmt.Printf("booted %s: %d PCI functions on %d buses (%d disks, %d nics, %d testdevs)\n",
+			s.Spec.Name, len(tp.All), tp.Buses, len(s.Disks), len(s.NICs), len(s.TestDevs))
+		err = reportFabric(s)
+	case "dump-topo":
+		err = s.DumpEnumeration(os.Stdout)
+	default:
+		err = reportWorkload(s, tr)
+	}
+	exitOn(1, err)
+	exitOn(1, obs.Finish(s.Eng))
+}
+
+// exitOn prints a non-nil err and exits with code: 2 for a bad
+// invocation, 1 for a failure while the simulation ran.
+func exitOn(code int, err error) {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pciesim: %v\n", err)
-		os.Exit(2)
+		os.Exit(code)
 	}
+}
 
-	if *workloadSpec != "" || *traceIn != "" {
-		if *workloadSpec != "" && *traceIn != "" {
-			fmt.Fprintf(os.Stderr, "pciesim: -workload and -trace-in are mutually exclusive\n")
-			os.Exit(2)
-		}
-		if *wlCapture != "" && *workloadSpec == "" {
-			fmt.Fprintf(os.Stderr, "pciesim: -wl-capture requires -workload (a replayed trace is already a file)\n")
-			os.Exit(2)
-		}
-		wl := wlOptions{
-			engine: *workloadSpec, traceIn: *traceIn, capture: *wlCapture,
-			ops: *wlOps, gapUs: *wlGap, length: *wlLen, burst: *wlBurst, seed: *wlSeed,
-		}
-		runWorkload(*topoSpec, *gen, *par, credits, wl, obs)
-		return
-	}
-
+// runMode returns the flag that selects what this invocation runs: the
+// one mode flag given, else "topo" when -topo is set, else "" for the
+// default dd. It rejects a -block that is not positive and any flag the
+// selected mode would not read.
+func runMode() (string, error) {
+	mode := ""
 	if *topoSpec != "" {
-		runTopo(*topoSpec, *blockMB, *gen, *par, credits, *p2p, *reflect, *dumpTopo, obs)
-		return
+		mode = "topo"
 	}
-
-	if *campaignSpec != "" {
-		kind, seeds, rate, err := parseCampaign(*campaignSpec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pciesim: %v\n", err)
-			os.Exit(2)
+	for _, name := range []string{"workload", "trace-in", "campaign", "p2p", "dump-topo"} {
+		if v := flag.Lookup(name).Value.String(); v == "" || v == "false" {
+			continue
 		}
-		runCampaign(kind, seeds, rate, *jobs, *par, *blockMB, obs)
-		return
+		if mode != "" && mode != "topo" {
+			return "", fmt.Errorf("-%s and -%s are mutually exclusive", mode, name)
+		}
+		mode = name
 	}
+	if *blockMB <= 0 {
+		return "", fmt.Errorf("-block %d: must be a positive number of MiB", *blockMB)
+	}
+	for _, name := range given {
+		if !reads(mode, name) {
+			return "", fmt.Errorf("-%s has no effect on a %s run", name, cmp.Or(mode, "dd"))
+		}
+	}
+	return mode, nil
+}
 
-	spec := pciesim.CannedTopo("validation")
-	spec.Link("uplink").Width = *uplink
-	spec.Link("disklink").Width = *disklink
+// reads reports whether a run of mode uses flag name. The observability
+// flags and -par apply to every mode; the campaign runners configure
+// their own platform, so a campaign takes only -block and -jobs besides.
+func reads(mode, name string) bool {
+	switch {
+	case obsFlags.Lookup(name) != nil || name == "par" || name == mode:
+		return true
+	case mode == "campaign":
+		return name == "block" || name == "jobs"
+	case name == "block":
+		return mode == "" || mode == "topo"
+	case name == "jobs":
+		return false
+	case strings.HasPrefix(name, "wl-"):
+		return mode == "workload"
+	}
+	return true
+}
+
+// build assembles the platform of a single run: the one place the
+// platform flags take effect, whatever the mode.
+func build(mode string) (*pciesim.System, error) {
 	cfg := pciesim.DefaultConfig()
+	spec, err := pciesim.LookupTopo(cmp.Or(*topoSpec, "validation"))
+	if err != nil {
+		return nil, err
+	}
+	for _, l := range []struct {
+		name  string
+		width int
+	}{{"uplink", *uplink}, {"disklink", *disklink}} {
+		if !slices.Contains(given, l.name) {
+			continue
+		}
+		link := spec.Link(l.name)
+		if link == nil {
+			return nil, fmt.Errorf("-%s: topology %q has no link named %s",
+				l.name, cmp.Or(*topoSpec, "validation"), l.name)
+		}
+		link.Width = l.width
+	}
+	dur := func(name string, v int, unit sim.Tick) sim.Tick {
+		t, terr := ticks(name, v, unit)
+		err = cmp.Or(err, terr)
+		return t
+	}
+	cfg.SwitchLatency = dur("switchlat", *switchLat, sim.Nanosecond)
+	cfg.RootComplexLatency = dur("rclat", *rcLat, sim.Nanosecond)
+	downStart := dur("downat", max(*downAt, 0), sim.Microsecond) // negative disables
+	downFor := dur("downdur", *downDur, sim.Microsecond)
+	retrainAfter := dur("retrain", *retrain, sim.Microsecond)
+	ctoAfter := dur("cto", *cto, sim.Microsecond)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Credits, err = pciesim.ParseCredits(*creditSpec); err != nil {
+		return nil, err
+	}
 	cfg.Gen = pciesim.Generation(*gen)
 	cfg.ReplayBufferSize = *replayBuf
 	cfg.PortBufferSize = *portBuf
-	cfg.SwitchLatency = sim.Tick(*switchLat) * sim.Nanosecond
-	cfg.RootComplexLatency = sim.Tick(*rcLat) * sim.Nanosecond
 	// Scale the fixed dd startup with the block size so small test
 	// blocks still report a steady-state-like number.
 	cfg.DD.StartupOverhead = cfg.DD.StartupOverhead * sim.Tick(*blockMB) / 64
-	cfg.EnableMSI = *msi
+	// Workload NIC flows exercise the MSI path.
+	cfg.EnableMSI = *msi || mode == "workload" || mode == "trace-in"
 	cfg.Disk.PostedWrites = *posted
-	cfg.Credits = credits
+	cfg.NoP2P = *reflect
 	cfg.Domains = *par
+	// A yanked card needs the full containment stack to keep the run
+	// terminating: DPC plus the recovery driver.
+	cfg.EnableDPC = *dpc || *hotplugSpec != ""
+	if *degrade {
+		deg := pciesim.DefaultDegradeConfig()
+		cfg.Degrade = &deg
+	}
 
 	for _, r := range []struct {
 		name string
 		v    float64
 	}{{"-errrate", *errRate}, {"-dllprate", *dllpRate}, {"-droprate", *dropRate}} {
 		if r.v < 0 || r.v > 1 {
-			fmt.Fprintf(os.Stderr, "pciesim: %s %v: probability must be in [0,1]\n", r.name, r.v)
-			os.Exit(2)
+			return nil, fmt.Errorf("%s %v: probability must be in [0,1]", r.name, r.v)
 		}
 	}
-	plan := &pciesim.FaultPlan{Seed: *faultSeed}
-	if *errRate > 0 || *dllpRate > 0 || *dropRate > 0 {
-		rates := pciesim.FaultRates{TLPCorrupt: *errRate, DLLPCorrupt: *dllpRate, Drop: *dropRate}
-		plan.Up = pciesim.FaultProfile{Rates: rates}
-		plan.Down = pciesim.FaultProfile{Rates: rates}
-	}
+	rates := pciesim.FaultRates{TLPCorrupt: *errRate, DLLPCorrupt: *dllpRate, Drop: *dropRate}
+	plan := &pciesim.FaultPlan{Seed: *faultSeed,
+		Up: pciesim.FaultProfile{Rates: rates}, Down: pciesim.FaultProfile{Rates: rates}}
 	if *downAt >= 0 {
-		plan.Windows = []pciesim.FaultWindow{{
-			At:       sim.Tick(*downAt) * sim.Microsecond,
-			Duration: sim.Tick(*downDur) * sim.Microsecond,
-		}}
-		plan.RetrainLatency = sim.Tick(*retrain) * sim.Microsecond
+		plan.Windows = []pciesim.FaultWindow{{At: downStart, Duration: downFor}}
+		plan.RetrainLatency = retrainAfter
 	}
 	if *hotplugSpec != "" {
 		h, err := parseHotplug(*hotplugSpec)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "pciesim: %v\n", err)
-			os.Exit(2)
+			return nil, err
 		}
 		plan.Hotplugs = []pciesim.FaultHotplug{h}
-		// A yanked card needs the full containment stack to keep the
-		// run terminating: DPC plus the recovery driver.
-		*dpc = true
 	}
-	cfg.EnableDPC = *dpc
-	if *degrade {
-		deg := pciesim.DefaultDegradeConfig()
-		cfg.Degrade = &deg
-	}
-	faulted := len(plan.Windows) > 0 || len(plan.Hotplugs) > 0 ||
-		*errRate > 0 || *dllpRate > 0 || *dropRate > 0
-	if faulted {
+	if len(plan.Windows) > 0 || len(plan.Hotplugs) > 0 || rates != (pciesim.FaultRates{}) {
 		cfg.Faults = map[string]*pciesim.FaultPlan{"disklink": plan}
 		// Arm the containment timeouts so a dead link degrades the
 		// run instead of hanging it.
-		cfg.CompletionTimeout = sim.Tick(*cto) * sim.Microsecond
+		cfg.CompletionTimeout = ctoAfter
 		cfg.DiskCmdTimeout = 2 * sim.Millisecond
 		cfg.DiskDMATimeout = 500 * sim.Microsecond
 	}
+	return pciesim.Build(spec, cfg)
+}
 
-	s, err := pciesim.Build(spec, cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pciesim: %v\n", err)
-		os.Exit(2)
+// ticks converts the duration flag name, given in unit, to simulated
+// time. A negative value or one past the tick range is an error rather
+// than a wrapped unsigned product.
+func ticks(name string, v int, unit sim.Tick) (sim.Tick, error) {
+	if v < 0 || uint64(v) > uint64(sim.MaxTick/unit) {
+		return 0, fmt.Errorf("-%s %d: duration outside 0..%d", name, v, sim.MaxTick/unit)
 	}
-	if err := obs.Arm(s.Eng); err != nil {
-		fmt.Fprintf(os.Stderr, "pciesim: %v\n", err)
-		os.Exit(2)
-	}
-	topo, err := s.Boot()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pciesim: boot: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("booted: %d PCI functions on %d buses; NIC interrupts via %v\n",
-		len(topo.All), topo.Buses, s.NICDriver.Handle.IntMode)
+	return sim.Tick(v) * unit, nil
+}
 
+// reportDD runs one dd on the validation platform's disk and prints its
+// throughput, the disk path's link protocol counters and the
+// error-containment outcome.
+func reportDD(s *pciesim.System) error {
 	res, err := s.RunDD(uint64(*blockMB) << 20)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "pciesim: dd: %v\n", err)
-		os.Exit(1)
+		return fmt.Errorf("dd: %w", err)
 	}
 	fmt.Printf("dd: %v\n", res)
 	fmt.Printf("simulated %v in %d events\n", s.Eng.Now(), s.Eng.TotalFired())
 
 	disk := s.LinkByName("disklink").Link
 	fmt.Println("\nlink protocol statistics (upstream direction):")
-	for _, l := range []struct {
-		name  string
-		stats pciesim.LinkStats
-	}{
-		{"disk->switch", disk.Down().Stats()},
-		{"switch->rootport", s.LinkByName("uplink").Link.Down().Stats()},
-	} {
-		st := l.stats
+	for _, l := range []struct{ label, link string }{{"disk->switch", "disklink"}, {"switch->rootport", "uplink"}} {
+		st := s.LinkByName(l.link).Link.Down().Stats()
 		fmt.Printf("  %-18s tlps=%d replays=%d (%.1f%%) timeouts=%d (%.1f%%) throttled=%d\n",
-			l.name, st.TLPsTx, st.ReplaysTx, st.ReplayRate()*100,
+			l.label, st.TLPsTx, st.ReplaysTx, st.ReplayRate()*100,
 			st.Timeouts, st.TimeoutRate()*100, st.Throttled)
-		if credits.Finite() {
+		if s.Cfg.Credits.Finite() {
 			fmt.Printf("  %-18s updatefc=%d stalls p/np/cpl=%d/%d/%d\n",
 				"", st.UpdateFCTx, st.FCStallsP, st.FCStallsNP, st.FCStallsCpl)
 		}
 	}
 
 	fmt.Println("\nerror containment:")
-	for _, l := range s.LinkErrors() {
-		total := l.Up.CRCErrors + l.Down.CRCErrors + l.Up.BadDLLPs + l.Down.BadDLLPs +
-			l.Up.Dropped + l.Down.Dropped + l.Retrains
-		if total == 0 && !l.Dead {
-			continue
-		}
-		fmt.Printf("  %-10s crc=%d badDLLPs=%d dropped=%d retrains=%d dead=%v\n",
-			l.Name, l.Up.CRCErrors+l.Down.CRCErrors, l.Up.BadDLLPs+l.Down.BadDLLPs,
-			l.Up.Dropped+l.Down.Dropped, l.Retrains, l.Dead)
-	}
+	printLinkErrors(s)
 	ctoFired, ctoLate := s.RC.CompletionTimeouts()
 	fmt.Printf("  root complex: completion timeouts=%d late completions dropped=%d\n", ctoFired, ctoLate)
-	if cfg.EnableDPC {
+	if s.Cfg.EnableDPC {
 		s.Eng.Run() // drain recovery polling before reading the outcome
 		triggers, recovered, abandoned := s.Recovery.Counts()
 		fmt.Printf("  dpc: triggers=%d recovered=%d abandoned=%d; disk removals=%d reinserts=%d\n",
 			triggers, recovered, abandoned, disk.Removals(), disk.Reinserts())
 	}
-	if cfg.Degrade != nil {
+	if s.Cfg.Degrade != nil {
 		fmt.Printf("  degrade: downtrains=%d uptrains=%d level=%d (%v x%d)\n",
 			disk.Downtrains(), disk.Uptrains(), disk.DegradeLevel(),
 			disk.CurrentGen(), disk.CurrentWidth())
@@ -380,8 +465,7 @@ func main() {
 	}
 	recs, err := s.ScanAER()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "pciesim: AER scan: %v\n", err)
-		os.Exit(1)
+		return fmt.Errorf("AER scan: %w", err)
 	}
 	if len(recs) == 0 {
 		fmt.Println("  AER: no errors logged")
@@ -389,66 +473,25 @@ func main() {
 	for _, r := range recs {
 		fmt.Printf("  %v\n", r)
 	}
-
-	if err := obs.Finish(s.Eng); err != nil {
-		fmt.Fprintf(os.Stderr, "pciesim: %v\n", err)
-		os.Exit(1)
-	}
+	return nil
 }
 
-// runTopo builds an arbitrary topology from a canned scenario name or
-// a spec string and runs dd on every disk (or the P2P workload).
-func runTopo(spec string, blockMB, gen, par int, credits pciesim.CreditConfig, p2p, reflect, dump bool, obs obscli.Flags) {
-	ts, err := pciesim.LookupTopo(spec)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pciesim: %v\n", err)
-		os.Exit(2)
-	}
-	cfg := pciesim.DefaultConfig()
-	cfg.Gen = pciesim.Generation(gen)
-	cfg.Credits = credits
-	cfg.NoP2P = reflect
-	cfg.Domains = par
-	cfg.DD.StartupOverhead = cfg.DD.StartupOverhead * sim.Tick(blockMB) / 64
-	s, err := pciesim.Build(ts, cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pciesim: %v\n", err)
-		os.Exit(2)
-	}
-	if err := obs.Arm(s.Eng); err != nil {
-		fmt.Fprintf(os.Stderr, "pciesim: %v\n", err)
-		os.Exit(2)
-	}
-	if dump {
-		if err := s.DumpEnumeration(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "pciesim: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	tp, err := s.Boot()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pciesim: boot: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("booted %s: %d PCI functions on %d buses (%d disks, %d nics, %d testdevs)\n",
-		s.Spec.Name, len(tp.All), tp.Buses, len(s.Disks), len(s.NICs), len(s.TestDevs))
-
-	switch {
-	case p2p:
+// reportFabric runs dd on every disk at once (with -p2p, the
+// peer-to-peer DMA workload instead) and prints the results and every
+// link's error counters.
+func reportFabric(s *pciesim.System) error {
+	if *p2p {
 		res, err := s.RunP2P(64, 4)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "pciesim: p2p: %v\n", err)
-			os.Exit(1)
+			return fmt.Errorf("p2p: %w", err)
 		}
 		fmt.Printf("p2p: %v\n", res)
 		fmt.Printf("routing: %d switch turnarounds, %d rc reflections\n",
 			s.Turnarounds(), s.Reflections())
-	default:
-		res, err := s.RunDDAll(uint64(blockMB) << 20)
+	} else {
+		res, err := s.RunDDAll(uint64(*blockMB) << 20)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "pciesim: dd: %v\n", err)
-			os.Exit(1)
+			return fmt.Errorf("dd: %w", err)
 		}
 		for i, d := range res.PerDisk {
 			fmt.Printf("dd[%s]: %v\n", s.Disks[i].Name, d)
@@ -459,192 +502,140 @@ func runTopo(spec string, blockMB, gen, par int, credits pciesim.CreditConfig, p
 	fmt.Printf("simulated %v in %d events\n", s.Eng.Now(), s.Eng.TotalFired())
 
 	fmt.Println("\nerror containment:")
-	quiet := true
+	if !printLinkErrors(s) {
+		fmt.Println("  all links clean")
+	}
+	return nil
+}
+
+// printLinkErrors prints every link that is dead or has a nonzero error
+// or retrain counter, and reports whether it printed any.
+func printLinkErrors(s *pciesim.System) bool {
+	printed := false
 	for _, l := range s.LinkErrors() {
 		total := l.Up.CRCErrors + l.Down.CRCErrors + l.Up.BadDLLPs + l.Down.BadDLLPs +
 			l.Up.Dropped + l.Down.Dropped + l.Retrains
 		if total == 0 && !l.Dead {
 			continue
 		}
-		quiet = false
+		printed = true
 		fmt.Printf("  %-10s crc=%d badDLLPs=%d dropped=%d retrains=%d dead=%v\n",
 			l.Name, l.Up.CRCErrors+l.Down.CRCErrors, l.Up.BadDLLPs+l.Down.BadDLLPs,
 			l.Up.Dropped+l.Down.Dropped, l.Retrains, l.Dead)
 	}
-	if quiet {
-		fmt.Println("  all links clean")
-	}
-	if err := obs.Finish(s.Eng); err != nil {
-		fmt.Fprintf(os.Stderr, "pciesim: %v\n", err)
-		os.Exit(1)
-	}
+	return printed
 }
 
-// wlOptions bundles the -workload / -trace-in flag values.
-type wlOptions struct {
-	engine  string // synthetic engine name ("" when replaying)
-	traceIn string // trace file to replay ("" when synthesizing)
-	capture string // file to write the materialized trace to
-	ops     int
-	gapUs   int
-	length  int
-	burst   int
-	seed    uint64
-}
-
-// runWorkload executes a synthetic workload engine or a captured trace
-// against a topology platform (default "validation"). Synthesis and
-// replay share this single path, so capturing a run and re-feeding the
-// trace produces a byte-identical stats dump.
-func runWorkload(topoSpec string, gen, par int, credits pciesim.CreditConfig, wl wlOptions, obs obscli.Flags) {
-	if topoSpec == "" {
-		topoSpec = "validation"
-	}
-	ts, err := pciesim.LookupTopo(topoSpec)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pciesim: %v\n", err)
-		os.Exit(2)
-	}
-	cfg := pciesim.DefaultConfig()
-	cfg.Gen = pciesim.Generation(gen)
-	cfg.Credits = credits
-	cfg.EnableMSI = true // workload NIC flows exercise the MSI path
-	cfg.Domains = par
-	s, err := pciesim.Build(ts, cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pciesim: %v\n", err)
-		os.Exit(2)
-	}
-	if err := obs.Arm(s.Eng); err != nil {
-		fmt.Fprintf(os.Stderr, "pciesim: %v\n", err)
-		os.Exit(2)
-	}
-
-	var tr *pciesim.WorkloadTrace
-	if wl.traceIn != "" {
-		f, err := os.Open(wl.traceIn)
+// loadWorkload reads the -trace-in trace, or synthesizes the -workload
+// engine across every endpoint of s its op kind can drive and captures
+// the schedule to -wl-capture. Synthesis and replay then share one
+// execution path, so a capture run and the replay of its trace produce
+// byte-identical stats dumps.
+func loadWorkload(s *pciesim.System) (*pciesim.WorkloadTrace, error) {
+	if *traceIn != "" {
+		f, err := os.Open(*traceIn)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "pciesim: %v\n", err)
-			os.Exit(2)
+			return nil, err
 		}
-		tr, err = pciesim.ParseWorkloadTrace(f)
+		tr, err := pciesim.ParseWorkloadTrace(f)
 		f.Close()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "pciesim: %s: %v\n", wl.traceIn, err)
-			os.Exit(2)
+			return nil, fmt.Errorf("%s: %w", *traceIn, err)
 		}
-		fmt.Printf("replaying %s: %d ops\n", wl.traceIn, len(tr.Ops))
+		fmt.Printf("replaying %s: %d ops\n", *traceIn, len(tr.Ops))
+		return tr, nil
+	}
+	eng, err := pciesim.ParseWorkloadEngine(*workloadSpec)
+	if err != nil {
+		return nil, err
+	}
+	gap, err := ticks("wl-gap", *wlGap, sim.Microsecond)
+	if err != nil {
+		return nil, err
+	}
+	// Fan the engine across every endpoint its op kind can drive:
+	// rx/tx over the NICs, read/write over the disks.
+	var endpoints []string
+	length := cmp.Or(*wlLen, 4096)
+	if eng.Op == pciesim.WorkloadOpRx || eng.Op == pciesim.WorkloadOpTx {
+		length = cmp.Or(*wlLen, 1500)
+		for _, n := range s.NICs {
+			endpoints = append(endpoints, n.Name)
+		}
 	} else {
-		eng, err := pciesim.ParseWorkloadEngine(wl.engine)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pciesim: %v\n", err)
-			os.Exit(2)
-		}
-		// Fan the engine across every endpoint its op kind can drive:
-		// rx/tx over the NICs, read/write over the disks.
-		var endpoints []string
-		length := wl.length
-		if eng.Op == pciesim.WorkloadOpRx || eng.Op == pciesim.WorkloadOpTx {
-			for _, n := range s.NICs {
-				endpoints = append(endpoints, n.Name)
-			}
-			if length == 0 {
-				length = 1500
-			}
-		} else {
-			for _, d := range s.Disks {
-				endpoints = append(endpoints, d.Name)
-			}
-			if length == 0 {
-				length = 4096
-			}
-		}
-		if len(endpoints) == 0 {
-			fmt.Fprintf(os.Stderr, "pciesim: topology %q has no endpoint for workload %s\n",
-				topoSpec, wl.engine)
-			os.Exit(2)
-		}
-		flows := make([]pciesim.WorkloadFlowSpec, len(endpoints))
-		for i := range flows {
-			flows[i] = pciesim.WorkloadFlowSpec{
-				Endpoint: endpoints[i],
-				Op:       eng.Op,
-				Arrival:  eng.Arrival,
-				Ops:      wl.ops,
-				Len:      length,
-				MeanGap:  sim.Tick(wl.gapUs) * sim.Microsecond,
-				BurstLen: wl.burst,
-				Seed:     wl.seed + uint64(i),
-			}
-		}
-		tr, err = pciesim.SynthesizeWorkload(flows)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pciesim: %v\n", err)
-			os.Exit(2)
-		}
-		fmt.Printf("workload %s: %d ops across %d flows\n", wl.engine, len(tr.Ops), len(flows))
-		if wl.capture != "" {
-			f, err := os.Create(wl.capture)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "pciesim: %v\n", err)
-				os.Exit(2)
-			}
-			if err := tr.Encode(f); err == nil {
-				err = f.Close()
-			} else {
-				f.Close()
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "pciesim: %s: %v\n", wl.capture, err)
-				os.Exit(2)
-			}
-			fmt.Printf("captured trace to %s\n", wl.capture)
+		for _, d := range s.Disks {
+			endpoints = append(endpoints, d.Name)
 		}
 	}
+	if len(endpoints) == 0 {
+		return nil, fmt.Errorf("topology %q has no endpoint for workload %s",
+			cmp.Or(*topoSpec, "validation"), *workloadSpec)
+	}
+	flows := make([]pciesim.WorkloadFlowSpec, len(endpoints))
+	for i := range flows {
+		flows[i] = pciesim.WorkloadFlowSpec{
+			Endpoint: endpoints[i],
+			Op:       eng.Op,
+			Arrival:  eng.Arrival,
+			Ops:      *wlOps,
+			Len:      length,
+			MeanGap:  gap,
+			BurstLen: *wlBurst,
+			Seed:     *wlSeed + uint64(i),
+		}
+	}
+	tr, err := pciesim.SynthesizeWorkload(flows)
+	if err != nil {
+		return nil, err
+	}
+	fmt.Printf("workload %s: %d ops across %d flows\n", *workloadSpec, len(tr.Ops), len(flows))
+	if *wlCapture == "" {
+		return tr, nil
+	}
+	f, err := os.Create(*wlCapture)
+	if err != nil {
+		return nil, err
+	}
+	err = tr.Encode(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", *wlCapture, err)
+	}
+	fmt.Printf("captured trace to %s\n", *wlCapture)
+	return tr, nil
+}
 
+// reportWorkload executes the trace and prints each flow's goodput and
+// latency plus the aggregate.
+func reportWorkload(s *pciesim.System, tr *pciesim.WorkloadTrace) error {
 	res, err := pciesim.RunWorkload(s, tr, pciesim.WorkloadRunConfig{})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "pciesim: workload: %v\n", err)
-		os.Exit(1)
+		return fmt.Errorf("workload: %w", err)
 	}
 	s.Eng.Run() // drain stragglers so the stats dump is a fixed point
-	for _, f := range res.Flows {
-		fmt.Printf("wl %v\n", f)
-	}
 	agg := 0.0
 	for _, f := range res.Flows {
+		fmt.Printf("wl %v\n", f)
 		agg += f.GoodputGbps()
 	}
 	fmt.Printf("aggregate: %.3f Gb/s, fairness spread %.3f\n", agg, res.FairnessSpread())
 	fmt.Printf("simulated %v in %d events\n", s.Eng.Now(), s.Eng.TotalFired())
-	if err := obs.Finish(s.Eng); err != nil {
-		fmt.Fprintf(os.Stderr, "pciesim: %v\n", err)
-		os.Exit(1)
-	}
+	return nil
 }
 
 // runCampaign runs a Monte-Carlo campaign (stochastic faults or
-// surprise hot-plug) and prints the per-seed table plus the outcome
+// surprise hot-plug); its Format is the per-seed table plus the outcome
 // distribution.
-func runCampaign(kind string, seeds int, rate float64, jobs, par, blockMB int, obs obscli.Flags) {
+func runCampaign(kind string, seeds int, rate float64) (interface{ Format() string }, error) {
 	// Scale 16 with a pre-scaling block of 16x the requested size keeps
-	// the simulated block at blockMB MiB while dividing dd's fixed
+	// the simulated block at -block MiB while dividing dd's fixed
 	// startup overhead, like the single-run path's proportional scaling.
-	opt := pciesim.Options{Scale: 16, BlockMB: []int{blockMB * 16}, Jobs: jobs, Par: par}
+	opt := pciesim.Options{Scale: 16, BlockMB: []int{*blockMB * 16}, Jobs: *jobs, Par: *par}
 	opt.Observe, opt.ObserveDone = obs.PerRun()
 	if kind == "hotplug" {
-		res, err := pciesim.RunHotplugCampaign(seeds, opt)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pciesim: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(res.Format())
-		return
+		return pciesim.RunHotplugCampaign(seeds, opt)
 	}
-	res, err := pciesim.RunFaultCampaign(seeds, rate, opt)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pciesim: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Print(res.Format())
+	return pciesim.RunFaultCampaign(seeds, rate, opt)
 }

@@ -449,7 +449,7 @@ func (e *Engine) runWindow(endIncl Tick, cut *windowCut) uint64 {
 	e.running = true
 	defer func() { e.running = false }()
 
-	var fired uint64
+	start := e.fired
 	for e.queue.len() > 0 && !e.stopped {
 		next := e.queue.items[0]
 		if next.when > endIncl {
@@ -458,20 +458,9 @@ func (e *Engine) runWindow(endIncl Tick, cut *windowCut) uint64 {
 		if cut != nil && !beforeCut(next, cut) {
 			break
 		}
-		e.queue.pop()
-		e.now = next.when
-		fired++
-		e.fired++
-		if e.prof != nil {
-			e.fireProfiled(next)
-		} else {
-			next.fn()
-		}
-		if next.oneShot && next.idx < 0 {
-			e.recycle(next)
-		}
+		e.fire()
 	}
-	return fired
+	return e.fired - start
 }
 
 // runWindowWhile is the root domain's window under RunWhile: cond is
@@ -483,6 +472,7 @@ func (e *Engine) runWindowWhile(endIncl Tick, cond func() bool) (fired uint64, c
 	e.running = true
 	defer func() { e.running = false }()
 
+	start := e.fired
 	var last windowCut
 	var any bool
 	for e.queue.len() > 0 && !e.stopped {
@@ -493,21 +483,11 @@ func (e *Engine) runWindowWhile(endIncl Tick, cond func() bool) (fired uint64, c
 		if next.when > endIncl {
 			break
 		}
-		e.queue.pop()
-		e.now = next.when
-		fired++
-		e.fired++
 		last = windowCut{when: next.when, prio: next.prio, sched: next.sched, ord: next.ord}
 		any = true
-		if e.prof != nil {
-			e.fireProfiled(next)
-		} else {
-			next.fn()
-		}
-		if next.oneShot && next.idx < 0 {
-			e.recycle(next)
-		}
+		e.fire()
 	}
+	fired = e.fired - start
 	if e.stopped || !cond() {
 		stopWindow = true
 		if any {

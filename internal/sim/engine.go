@@ -215,31 +215,16 @@ func (e *Engine) RunUntil(limit Tick) uint64 {
 	e.stopped = false
 	defer func() { e.running = false }()
 
-	var fired uint64
+	start := e.fired
 	for e.queue.len() > 0 && !e.stopped {
-		next := e.queue.items[0]
-		if next.when > limit {
+		if e.queue.items[0].when > limit {
 			e.now = limit
 			if e.sampleEvery > 0 {
 				e.sampleUpTo()
 			}
-			return fired
+			return e.fired - start
 		}
-		e.queue.pop()
-		e.now = next.when
-		if e.sampleEvery > 0 {
-			e.sampleUpTo()
-		}
-		fired++
-		e.fired++
-		if e.prof != nil {
-			e.fireProfiled(next)
-		} else {
-			next.fn()
-		}
-		if next.oneShot && next.idx < 0 {
-			e.recycle(next)
-		}
+		e.fire()
 	}
 	if e.queue.len() == 0 && limit != MaxTick && e.now < limit {
 		e.now = limit
@@ -247,7 +232,7 @@ func (e *Engine) RunUntil(limit Tick) uint64 {
 			e.sampleUpTo()
 		}
 	}
-	return fired
+	return e.fired - start
 }
 
 // RunWhile executes events in order for as long as cond returns true,
@@ -270,26 +255,32 @@ func (e *Engine) RunWhile(cond func() bool) uint64 {
 	e.stopped = false
 	defer func() { e.running = false }()
 
-	var fired uint64
+	start := e.fired
 	for e.queue.len() > 0 && !e.stopped && cond() {
-		next := e.queue.items[0]
-		e.queue.pop()
-		e.now = next.when
-		if e.sampleEvery > 0 {
-			e.sampleUpTo()
-		}
-		fired++
-		e.fired++
-		if e.prof != nil {
-			e.fireProfiled(next)
-		} else {
-			next.fn()
-		}
-		if next.oneShot && next.idx < 0 {
-			e.recycle(next)
-		}
+		e.fire()
 	}
-	return fired
+	return e.fired - start
+}
+
+// fire executes the head event: it pops it, advances the clock to it,
+// takes the sampler snapshots now due, runs the callback (through the
+// profiler when armed), and recycles a one-shot the callback did not
+// reschedule. Every run loop, serial or windowed, fires through it.
+func (e *Engine) fire() {
+	ev := e.queue.pop()
+	e.now = ev.when
+	if e.sampleEvery > 0 {
+		e.sampleUpTo()
+	}
+	e.fired++
+	if e.prof != nil {
+		e.fireProfiled(ev)
+	} else {
+		ev.fn()
+	}
+	if ev.oneShot && ev.idx < 0 {
+		e.recycle(ev)
+	}
 }
 
 // Drained reports whether no events remain.

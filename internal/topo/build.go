@@ -2,6 +2,10 @@ package topo
 
 import (
 	"fmt"
+	"slices"
+	"sort"
+	"strconv"
+	"strings"
 
 	"pciesim/internal/bridge"
 	"pciesim/internal/cache"
@@ -75,7 +79,8 @@ type Config struct {
 
 	// Faults attaches deterministic fault plans to links by link name
 	// (LinkSpec.Name; "<node>.link" when auto-named). A plan set
-	// directly in the spec wins over this map.
+	// directly in the spec wins over this map; a key that names no link
+	// fails Build.
 	Faults map[string]*fault.Plan
 	// CompletionTimeout arms the root complex's completion timer; zero
 	// disables it.
@@ -302,6 +307,9 @@ func Build(spec *Spec, cfg Config) (*System, error) {
 	if err := spec.Normalize(); err != nil {
 		return nil, err
 	}
+	if err := checkFaultLinks(spec, cfg.Faults); err != nil {
+		return nil, err
+	}
 	plan, err := spec.Plan()
 	if err != nil {
 		return nil, err
@@ -507,6 +515,28 @@ func Build(spec *Spec, cfg Config) (*System, error) {
 		}
 	}
 	return s, nil
+}
+
+// checkFaultLinks rejects fault plans keyed by a name that no link of
+// the normalized spec carries: such a plan would never arm, leaving a
+// run the caller asked to fault silently clean.
+func checkFaultLinks(spec *Spec, faults map[string]*fault.Plan) error {
+	if len(faults) == 0 {
+		return nil
+	}
+	var links, unknown []string
+	spec.walk(func(n *Node) { links = append(links, n.Link.Name) })
+	for name := range faults {
+		if !slices.Contains(links, name) {
+			unknown = append(unknown, strconv.Quote(name))
+		}
+	}
+	if len(unknown) == 0 {
+		return nil
+	}
+	sort.Strings(unknown)
+	return fmt.Errorf("topo: fault plan for no link of topology %q: %s (links: %s)",
+		spec.Name, strings.Join(unknown, ", "), strings.Join(links, ", "))
 }
 
 // engineFor returns the engine of the timing domain n was assigned

@@ -16,6 +16,25 @@ func (s *System) runTask(t *kernel.Task) {
 	s.Eng.RunWhile(func() bool { return !t.Done() })
 }
 
+// runInTask boots if necessary, then runs fn as the kernel task name to
+// completion. fn's error is returned as is; a task that never finished
+// fails with the caller's wedged message.
+func (s *System) runInTask(name, wedged string, fn func(t *kernel.Task) error) error {
+	if _, err := s.Boot(); err != nil {
+		return err
+	}
+	var runErr error
+	task := s.CPU.Spawn(name, 0, func(t *kernel.Task) { runErr = fn(t) })
+	s.runTask(task)
+	if runErr != nil {
+		return runErr
+	}
+	if !task.Done() {
+		return fmt.Errorf("topo: %s", wedged)
+	}
+	return nil
+}
+
 // Boot runs enumeration and driver probes to completion and checks
 // that every disk and NIC endpoint the spec declared was bound by its
 // driver. Test devices are driverless by design and are only checked
@@ -79,27 +98,19 @@ func (s *System) RunDDWrite(blockBytes uint64) (kernel.DDResult, error) {
 }
 
 func (s *System) runDD(blockBytes uint64, write bool) (kernel.DDResult, error) {
-	if _, err := s.Boot(); err != nil {
-		return kernel.DDResult{}, err
-	}
 	if len(s.Disks) == 0 {
 		return kernel.DDResult{}, fmt.Errorf("topo: no disk in topology %q", s.Spec.Name)
 	}
 	cfg := s.Cfg.DD
 	cfg.BlockBytes = blockBytes
 	cfg.Write = write
-	h := s.DiskDriver.HandleFor(s.Disks[0].BDF)
 	var res kernel.DDResult
-	var runErr error
-	task := s.CPU.Spawn("dd", 0, func(t *kernel.Task) {
-		res, runErr = kernel.RunDD(t, h, cfg)
+	err := s.runInTask("dd", "dd task wedged (lost wakeup?)", func(t *kernel.Task) (err error) {
+		res, err = kernel.RunDD(t, s.DiskDriver.HandleFor(s.Disks[0].BDF), cfg)
+		return err
 	})
-	s.runTask(task)
-	if runErr != nil {
-		return kernel.DDResult{}, runErr
-	}
-	if !task.Done() {
-		return kernel.DDResult{}, fmt.Errorf("topo: dd task wedged (lost wakeup?)")
+	if err != nil {
+		return kernel.DDResult{}, err
 	}
 	return res, nil
 }
@@ -255,16 +266,12 @@ func (s *System) RunP2P(commands int, sectorsPerCmd uint32) (kernel.P2PResult, e
 		PerCommandOverhead: s.Cfg.DD.PerRequestOverhead,
 	}
 	var res kernel.P2PResult
-	var runErr error
-	task := s.CPU.Spawn("p2p", 0, func(t *kernel.Task) {
-		res, runErr = kernel.RunP2P(t, h, cfg)
+	err := s.runInTask("p2p", "p2p task wedged", func(t *kernel.Task) (err error) {
+		res, err = kernel.RunP2P(t, h, cfg)
+		return err
 	})
-	s.runTask(task)
-	if runErr != nil {
-		return kernel.P2PResult{}, runErr
-	}
-	if !task.Done() {
-		return kernel.P2PResult{}, fmt.Errorf("topo: p2p task wedged")
+	if err != nil {
+		return kernel.P2PResult{}, err
 	}
 	return res, nil
 }
@@ -272,30 +279,21 @@ func (s *System) RunP2P(commands int, sectorsPerCmd uint32) (kernel.P2PResult, e
 // MMIOProbe boots if necessary, then measures n 4-byte reads of the
 // first NIC's status register.
 func (s *System) MMIOProbe(n int) (kernel.MMIOProbeResult, error) {
-	if _, err := s.Boot(); err != nil {
-		return kernel.MMIOProbeResult{}, err
-	}
-	if s.NICDriver.Handle == nil {
+	if len(s.NICs) == 0 {
 		return kernel.MMIOProbeResult{}, fmt.Errorf("topo: no NIC in topology %q", s.Spec.Name)
 	}
 	var res kernel.MMIOProbeResult
-	task := s.CPU.Spawn("mmioprobe", 0, func(t *kernel.Task) {
+	err := s.runInTask("mmioprobe", "probe task wedged", func(t *kernel.Task) error {
 		res = kernel.MMIOProbe(t, s.NICDriver.Handle.BAR0+devices.NICRegStatus, n)
+		return nil
 	})
-	s.runTask(task)
-	if !task.Done() {
-		return kernel.MMIOProbeResult{}, fmt.Errorf("topo: probe task wedged")
-	}
-	return res, nil
+	return res, err
 }
 
 // RunNICTx boots if necessary, then transmits frames through the first
 // NIC's descriptor ring.
 func (s *System) RunNICTx(frames, frameLen int) (kernel.NICTxResult, error) {
-	if _, err := s.Boot(); err != nil {
-		return kernel.NICTxResult{}, err
-	}
-	if s.NICDriver.Handle == nil {
+	if len(s.NICs) == 0 {
 		return kernel.NICTxResult{}, fmt.Errorf("topo: no NIC in topology %q", s.Spec.Name)
 	}
 	cfg := kernel.NICTxConfig{
@@ -307,34 +305,24 @@ func (s *System) RunNICTx(frames, frameLen int) (kernel.NICTxResult, error) {
 		PerFrameOverhead: 500 * sim.Nanosecond,
 	}
 	var res kernel.NICTxResult
-	var runErr error
-	task := s.CPU.Spawn("nictx", 0, func(t *kernel.Task) {
-		res, runErr = s.NICDriver.RunNICTx(t, cfg)
+	err := s.runInTask("nictx", "nictx task wedged", func(t *kernel.Task) (err error) {
+		res, err = s.NICDriver.RunNICTx(t, cfg)
+		return err
 	})
-	s.runTask(task)
-	if runErr != nil {
-		return kernel.NICTxResult{}, runErr
-	}
-	if !task.Done() {
-		return kernel.NICTxResult{}, fmt.Errorf("topo: nictx task wedged")
+	if err != nil {
+		return kernel.NICTxResult{}, err
 	}
 	return res, nil
 }
 
 // ScanAER runs the kernel's AER service handler in task context.
 func (s *System) ScanAER() ([]kernel.AERRecord, error) {
-	if _, err := s.Boot(); err != nil {
-		return nil, err
-	}
 	var recs []kernel.AERRecord
-	task := s.CPU.Spawn("aerscan", 0, func(t *kernel.Task) {
+	err := s.runInTask("aerscan", "AER scan task wedged", func(t *kernel.Task) error {
 		recs = s.Kernel.HandleAER(t)
+		return nil
 	})
-	s.runTask(task)
-	if !task.Done() {
-		return nil, fmt.Errorf("topo: AER scan task wedged")
-	}
-	return recs, nil
+	return recs, err
 }
 
 // LinkErrorSummary aggregates the error-containment counters of one

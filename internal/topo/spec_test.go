@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"pciesim/internal/fault"
 	"pciesim/internal/pci"
 	"pciesim/internal/pcie"
 )
@@ -277,6 +278,28 @@ func TestBuildRejectsBadGeneration(t *testing.T) {
 		if _, err := Build(Validation(), cfg); err == nil {
 			t.Errorf("Build accepted Config.Gen = %d", gen)
 		}
+	}
+}
+
+// TestBuildRejectsUnknownFaultLink: a fault plan keyed by a name no link
+// of the spec carries fails the build, naming the key and the spec's
+// links, instead of leaving the run silently clean; auto-generated link
+// names resolve.
+func TestBuildRejectsUnknownFaultLink(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Faults = map[string]*fault.Plan{"disklink": fault.CorruptionPlan(0.05)}
+	_, err := Build(Fanout8(), cfg)
+	if err == nil {
+		t.Fatal("Build accepted a fault plan for a link fanout8 does not have")
+	}
+	for _, want := range []string{`"disklink"`, "sw0.link", "disk7.link"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %s", err, want)
+		}
+	}
+	cfg.Faults = map[string]*fault.Plan{"disk0.link": fault.CorruptionPlan(0.05)}
+	if _, err := Build(Fanout8(), cfg); err != nil {
+		t.Errorf("fault plan on the auto-named disk0.link: %v", err)
 	}
 }
 
