@@ -66,6 +66,9 @@ type mshr struct {
 	targets  []*mem.Packet
 	victim   *line
 	issuedAt sim.Tick // fetch issue time, for the fill-latency histogram
+	// fetch is the fill request; its Context is the MSHR itself, and
+	// the two are recycled together.
+	fetch *mem.Packet
 }
 
 // Cache is the IOCache. Requests enter at the cpu-side slave port (from
@@ -97,13 +100,20 @@ type Cache struct {
 
 	mshrGauge *stats.Gauge
 	fillLat   *stats.Histogram
+
+	// Free lists private to the cache, never mem.Pool, so the pool's
+	// accounting does not move: MSHRs with their fill packets, and
+	// writeback packets. Each memory-side trip returns a packet with
+	// only its Cmd changed and its route stack popped back to empty.
+	mshrFree []*mshr
+	wbFree   []*mem.Packet
+
+	// The upstream retry event's name and callback, built once.
+	reqretryName string
+	reqretryFn   func()
 }
 
 type wbToken struct{ c *Cache }
-type fillToken struct {
-	c *Cache
-	m *mshr
-}
 type passToken struct {
 	c    *Cache
 	orig any
@@ -137,6 +147,8 @@ func New(eng *sim.Engine, name string, cfg Config) *Cache {
 	c.memQ = mem.NewSendQueue(eng, name+".memq", 0, func(p *mem.Packet) bool {
 		return c.memSide.SendTimingReq(p)
 	})
+	c.reqretryName = name + ".reqretry"
+	c.reqretryFn = c.cpuSide.SendReqRetry
 	r := eng.Stats()
 	r.CounterFunc(name+".hits", func() uint64 { return c.hits })
 	r.CounterFunc(name+".misses", func() uint64 { return c.misses })
@@ -286,14 +298,31 @@ func (o *cacheCPUSide) RecvTimingReq(_ *mem.SlavePort, pkt *mem.Packet) bool {
 	v.valid = false
 	v.dirty = false
 	v.reserved = true
-	m := &mshr{lineAddr: la, targets: []*mem.Packet{pkt}, victim: v, issuedAt: c.eng.Now()}
+	m := c.newMSHR(la)
+	m.targets = append(m.targets, pkt)
+	m.victim = v
+	m.issuedAt = c.eng.Now()
 	c.mshrs[la] = m
 	c.mshrGauge.Set(int64(len(c.mshrs)))
-	fetch := mem.NewPacket(mem.ReadReq, la, c.cfg.LineSize)
-	fetch.Data = make([]byte, c.cfg.LineSize)
-	fetch.Context = fillToken{c, m}
-	c.memQ.Push(fetch, c.eng.Now()+c.cfg.TagLatency)
+	c.memQ.Push(m.fetch, c.eng.Now()+c.cfg.TagLatency)
 	return true
+}
+
+// newMSHR takes a free MSHR, or allocates one, with its fill request
+// aimed at lineAddr.
+func (c *Cache) newMSHR(lineAddr uint64) *mshr {
+	if n := len(c.mshrFree); n > 0 {
+		m := c.mshrFree[n-1]
+		c.mshrFree[n-1] = nil
+		c.mshrFree = c.mshrFree[:n-1]
+		m.lineAddr = lineAddr
+		m.fetch.Cmd, m.fetch.Addr = mem.ReadReq, lineAddr
+		return m
+	}
+	m := &mshr{lineAddr: lineAddr, fetch: mem.NewPacket(mem.ReadReq, lineAddr, c.cfg.LineSize)}
+	m.fetch.Data = make([]byte, c.cfg.LineSize)
+	m.fetch.Context = m
+	return m
 }
 
 func (o *cacheCPUSide) RecvRespRetry(*mem.SlavePort) { o.c().respQ.RetryReceived() }
@@ -355,11 +384,21 @@ func (c *Cache) install(l *line, lineAddr uint64) {
 func (c *Cache) issueWriteback(v *line) {
 	c.writebacks++
 	c.writebackCount++
-	wb := mem.NewPacket(mem.WriteReq, v.tag, c.cfg.LineSize)
-	if v.data != nil {
-		wb.Data = append([]byte(nil), v.data...)
+	var wb *mem.Packet
+	if n := len(c.wbFree); n > 0 {
+		wb = c.wbFree[n-1]
+		c.wbFree[n-1] = nil
+		c.wbFree = c.wbFree[:n-1]
+		wb.Cmd, wb.Addr = mem.WriteReq, v.tag
+	} else {
+		wb = mem.NewPacket(mem.WriteReq, v.tag, c.cfg.LineSize)
+		wb.Context = wbToken{c}
 	}
-	wb.Context = wbToken{c}
+	if v.data == nil {
+		wb.Data = nil
+	} else {
+		wb.Data = append(wb.Data[:0], v.data...)
+	}
 	c.memQ.Push(wb, c.eng.Now()+c.cfg.TagLatency)
 	v.valid = false
 	v.dirty = false
@@ -371,7 +410,7 @@ func (c *Cache) retryIfNeeded() {
 		return
 	}
 	c.needsRetry = false
-	c.eng.ScheduleAt(c.name+".reqretry", c.eng.Now(), sim.PriorityRetry, c.cpuSide.SendReqRetry)
+	c.eng.ScheduleAt(c.reqretryName, c.eng.Now(), sim.PriorityRetry, c.reqretryFn)
 }
 
 // cacheMemSide adapts Cache to mem.MasterOwner.
@@ -384,14 +423,15 @@ func (o *cacheMemSide) RecvTimingResp(_ *mem.MasterPort, pkt *mem.Packet) bool {
 	switch tok := pkt.Context.(type) {
 	case wbToken:
 		c.writebacks--
+		c.wbFree = append(c.wbFree, pkt)
 		c.retryIfNeeded()
 		return true
 	case passToken:
 		pkt.Context = tok.orig
 		c.respQ.Push(pkt, c.eng.Now())
 		return true
-	case fillToken:
-		m := tok.m
+	case *mshr:
+		m := tok
 		delete(c.mshrs, m.lineAddr)
 		c.mshrGauge.Set(int64(len(c.mshrs)))
 		c.fillLat.Observe(uint64(c.eng.Now() - m.issuedAt))
@@ -410,6 +450,10 @@ func (o *cacheMemSide) RecvTimingResp(_ *mem.MasterPort, pkt *mem.Packet) bool {
 			}
 			c.respQ.Push(target.MakeResponse(), c.eng.Now())
 		}
+		clear(m.targets)
+		m.targets = m.targets[:0]
+		m.victim = nil
+		c.mshrFree = append(c.mshrFree, m)
 		c.retryIfNeeded()
 		return true
 	default:

@@ -540,7 +540,7 @@ func (fc *fcState) drain() {
 			i.stats.RxRefused++
 			break
 		}
-		popPkt(&fc.cplQ)
+		popFront(&fc.cplQ)
 		fc.delivered(FCCpl, data, id)
 	}
 	for len(fc.reqQ) > 0 {
@@ -552,7 +552,7 @@ func (fc *fcState) drain() {
 			i.stats.RxRefused++
 			break
 		}
-		popPkt(&fc.reqQ)
+		popFront(&fc.reqQ)
 		fc.delivered(cl, data, id)
 	}
 	fc.updateRxGauges()
@@ -567,13 +567,6 @@ func (fc *fcState) delivered(cl FCClass, data uint64, id uint64) {
 			"deliver", id, cl.String())
 	}
 	fc.release(cl, data)
-}
-
-// popPkt removes the head of a queue without retaining the element.
-func popPkt(q *[]*mem.Packet) {
-	copy(*q, (*q)[1:])
-	(*q)[len(*q)-1] = nil
-	*q = (*q)[:len(*q)-1]
 }
 
 // release returns one TLP's credits to the pool and schedules an
@@ -644,15 +637,16 @@ func (fc *fcState) updPending() bool {
 	return fc.pendUpd[0] || fc.pendUpd[1] || fc.pendUpd[2]
 }
 
-// buildDLLP assembles one FC DLLP for cl with the current grants.
-func (fc *fcState) buildDLLP(kind PktKind, cl FCClass) *PciePkt {
+// buildDLLP assembles one FC DLLP for cl with the current grants. It
+// returns by value: the transmitter copies it into a wire flight.
+func (fc *fcState) buildDLLP(kind PktKind, cl FCClass) PciePkt {
 	hdr, data := fc.grantValues(cl)
-	return &PciePkt{Kind: kind, FCCl: cl, FCHdr: hdr, FCData: data}
+	return PciePkt{Kind: kind, FCCl: cl, FCHdr: hdr, FCData: data}
 }
 
 // nextInitDLLP dequeues the next pending InitFC1/InitFC2; it must only
 // be called when initPending() is true.
-func (fc *fcState) nextInitDLLP() *PciePkt {
+func (fc *fcState) nextInitDLLP() PciePkt {
 	for cl := range fc.pendInit1 {
 		if fc.pendInit1[cl] {
 			fc.pendInit1[cl] = false
@@ -675,7 +669,7 @@ func (fc *fcState) nextInitDLLP() *PciePkt {
 
 // nextUpdDLLP dequeues the next pending UpdateFC; it must only be
 // called when updPending() is true.
-func (fc *fcState) nextUpdDLLP() *PciePkt {
+func (fc *fcState) nextUpdDLLP() PciePkt {
 	for cl := range fc.pendUpd {
 		if fc.pendUpd[cl] {
 			fc.pendUpd[cl] = false

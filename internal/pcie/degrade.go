@@ -256,9 +256,9 @@ func (l *Link) retrainTo(level int) {
 }
 
 // applyPendingLevel installs a pending ladder level at retrain
-// completion; every WireTime / ReplayTimeout / AckPeriod computation
-// reads the mutated cfg from here on. Returns whether a level change
-// happened.
+// completion; every WireTime computation reads the mutated cfg from
+// here on, and the cached ReplayTimeout / AckPeriod are refreshed from
+// it. Returns whether a level change happened.
 func (l *Link) applyPendingLevel() bool {
 	d := l.deg
 	if d == nil || d.pendTarget < 0 {
@@ -279,6 +279,7 @@ func (l *Link) applyPendingLevel() bool {
 	}
 	d.level = target
 	l.cfg.Gen, l.cfg.Width = g, w
+	l.refreshTimers()
 	d.lvlGauge.Set(int64(d.level))
 	d.widthGauge.Set(int64(w))
 	d.genGauge.Set(int64(g))

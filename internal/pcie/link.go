@@ -123,6 +123,12 @@ type Link struct {
 	// deg is the adaptive-degradation ladder; nil when unarmed.
 	deg *degradeState
 
+	// replayTimeout and ackPeriod cache the replay and ACK timer
+	// intervals at the current Gen/Width; every transmit and every ACK
+	// reads them. refreshTimers recomputes both wherever Gen/Width
+	// change.
+	replayTimeout, ackPeriod sim.Tick
+
 	// removed distinguishes a surprise-removed (re-insertable) link
 	// from one declared permanently dead.
 	removed   bool
@@ -179,6 +185,7 @@ func (l *Link) notifyAll(n LinkNotice) {
 func NewLink(eng *sim.Engine, name string, cfg LinkConfig) *Link {
 	cfg.applyDefaults()
 	l := &Link{eng: eng, name: name, cfg: cfg, plan: cfg.Fault}
+	l.refreshTimers()
 	if err := l.plan.Normalize(); err != nil {
 		panic(fmt.Sprintf("pcie: link %s: %v", name, err))
 	}
@@ -263,6 +270,7 @@ func NewLinkSplit(upEng, downEng *sim.Engine, name string, ord uint64, cfg LinkC
 	}
 	cfg.applyDefaults()
 	l := &Link{eng: upEng, name: name, cfg: cfg, ord: ord}
+	l.refreshTimers()
 	seed := cfg.Seed
 	l.up = newInterface(l, upEng, name+".up", seed*2+1)
 	l.down = newInterface(l, downEng, name+".down", seed*2+2)
@@ -308,13 +316,17 @@ func (l *Link) deadThreshold() int {
 }
 
 // ReplayTimeout returns the link's replay timer interval.
-func (l *Link) ReplayTimeout() sim.Tick {
-	return ReplayTimeout(l.cfg.Gen, l.cfg.Width, l.cfg.MaxPayload, l.cfg.Overheads)
-}
+func (l *Link) ReplayTimeout() sim.Tick { return l.replayTimeout }
 
 // AckPeriod returns the link's ACK batching timer interval.
-func (l *Link) AckPeriod() sim.Tick {
-	return AckPeriodClamped(l.cfg.Gen, l.cfg.Width, l.cfg.MaxPayload, l.cfg.Overheads)
+func (l *Link) AckPeriod() sim.Tick { return l.ackPeriod }
+
+// refreshTimers recomputes the cached timer intervals from the current
+// Gen/Width.
+func (l *Link) refreshTimers() {
+	c := &l.cfg
+	l.replayTimeout = ReplayTimeout(c.Gen, c.Width, c.MaxPayload, c.Overheads)
+	l.ackPeriod = AckPeriodClamped(c.Gen, c.Width, c.MaxPayload, c.Overheads)
 }
 
 // AckPeriodClamped is AckTimerPeriod floored at one symbol time so
@@ -602,15 +614,18 @@ type Interface struct {
 	aer   *pci.AER        // AER capability of the attached component, if any
 	stats LinkStats
 
-	// Pre-built event names and the in-flight snapshot free list: both
-	// sit on the per-packet transmit path, where a fmt/concat or a
-	// heap-allocated copy per wire crossing dominates the profile.
+	// Pre-built event names and callbacks, and the free lists of replay
+	// entries and wire flights: all sit on the per-TLP path, where a
+	// concat, a bound method value or a heap object per packet
+	// dominates the profile. Both free lists belong to this interface
+	// and are only touched by its own engine's domain.
 	deliverName  string
 	reqretryName string
 	resretryName string
 	reqretryFn   func()
 	resretryFn   func()
-	flightFree   []*PciePkt
+	entryFree    []*PciePkt
+	flightFree   []*flight
 
 	// Registry hooks, resolved at construction: replay-buffer
 	// occupancy and accept-to-release (ACK) latency in ticks. The
@@ -783,8 +798,9 @@ func (i *Interface) admit(tlp *mem.Packet) bool {
 	if i.fc != nil {
 		i.fc.consume(fcClass, fcData)
 	}
-	pp := &PciePkt{Kind: KindTLP, Seq: i.sendSeq, TLP: tlp,
-		acceptedAt: i.eng.Now(), queuedAt: i.eng.Now()}
+	pp := i.newEntry()
+	*pp = PciePkt{Kind: KindTLP, Seq: i.sendSeq, TLP: tlp,
+		acceptedAt: i.eng.Now(), queuedAt: i.eng.Now(), inFreshQ: true}
 	// Snapshot the wire size now: by the time a replay reads it, the
 	// wrapped packet may have been turned into its response and recycled.
 	pp.wire = i.link.cfg.Overheads.TLPWireBytes(pp.PayloadBytes())
@@ -893,7 +909,7 @@ func (i *Interface) txFire() {
 				"dllp-tx", pp.FCHdr, fmt.Sprintf("%v %v", pp.Kind, pp.FCCl))
 		}
 		pp.Corrupted = i.inj.CorruptDLLP(eng.Now())
-		i.transmit(pp)
+		i.transmit(&pp)
 	case i.ackPend || i.nakPend:
 		var pp PciePkt
 		if i.nakPend {
@@ -937,14 +953,15 @@ func (i *Interface) txFire() {
 			}
 		} else {
 			pp.Corrupted = i.inj.CorruptDLLP(eng.Now())
-			i.transmit(pp)
+			i.transmit(&pp)
 		}
 	case len(i.replayQ) > 0:
-		pp := i.replayQ[0]
-		i.replayQ = i.replayQ[1:]
+		pp := popFront(&i.replayQ)
+		pp.inReplayQ = false
 		if pp.acked {
 			// Released by an ACK while queued; skip without occupying
 			// the wire.
+			i.recycleEntry(pp)
 			i.scheduleTx()
 			return
 		}
@@ -959,9 +976,10 @@ func (i *Interface) txFire() {
 		}
 		i.transmitTLP(pp)
 	case len(i.freshQ) > 0:
-		pp := i.freshQ[0]
-		i.freshQ = i.freshQ[1:]
+		pp := popFront(&i.freshQ)
+		pp.inFreshQ = false
 		if pp.acked {
+			i.recycleEntry(pp)
 			i.scheduleTx()
 			return
 		}
@@ -1014,57 +1032,102 @@ func (i *Interface) transmit(pp *PciePkt) {
 	}
 	arrive := i.busyUntil + cfg.PropDelay
 	// Deliver a snapshot: the original may be re-corrupted by a later
-	// retransmission while this copy is still in flight. Snapshots are
-	// recycled through a per-interface free list once received — the
-	// receiver never retains them (it keeps only the wrapped TLP).
-	// txStart is captured for the wire attribution segment
-	// (serialization + propagation); the capture rides the closure that
-	// exists anyway, so unarmed runs pay nothing extra.
-	cp := i.getFlight()
-	*cp = *pp
-	txStart := eng.Now()
+	// retransmission while this copy is still in flight. The receiver
+	// never retains it (it keeps only the wrapped TLP).
 	if peer := i.peer; peer.eng != eng {
 		// Split link: the two ends run in different timing domains, so
 		// delivery is ferried through the coordinator's inbox and fires
 		// at receiver-local time. The wire span is charged now, on the
-		// sender's engine, with the known (txStart, arrive) endpoints —
-		// same value the serial path records at delivery. The snapshot
-		// buffer migrates: popped from the sender's free list here,
-		// recycled onto the receiver's at delivery, so each list is only
-		// ever touched by its own domain.
+		// sender's engine, with the known (now, arrive) endpoints — same
+		// value the serial path records at delivery. The delivery runs
+		// on the receiver's domain, which owns no list the snapshot may
+		// return to, so it is left to the GC.
+		cp := *pp
 		if eng.SpansOn() && cp.Kind == KindTLP && cp.TLP != nil {
-			i.spanObserveAt(&i.wireSeg, "wire", txStart, arrive, cp.TLP.ID)
+			i.spanObserveAt(&i.wireSeg, "wire", eng.Now(), arrive, cp.TLP.ID)
 		}
 		eng.CrossSchedule(peer.eng, i.deliverName, arrive, sim.PriorityDelivery, i.link.ord, func() {
-			peer.receive(cp)
-			peer.putFlight(cp)
+			peer.receive(&cp)
 		})
 		return
 	}
-	eng.ScheduleAtOrd(i.deliverName, arrive, sim.PriorityDelivery, i.link.ord, func() {
-		if eng.SpansOn() && cp.Kind == KindTLP && cp.TLP != nil {
-			i.spanObserve(&i.wireSeg, "wire", txStart, cp.TLP.ID)
-		}
-		i.peer.receive(cp)
-		i.putFlight(cp)
-	})
+	f := i.getFlight()
+	f.pp = *pp
+	f.txStart = eng.Now()
+	eng.ScheduleAtOrd(i.deliverName, arrive, sim.PriorityDelivery, i.link.ord, f.land)
 }
 
-// getFlight pops an in-flight snapshot buffer, or allocates one.
-func (i *Interface) getFlight() *PciePkt {
+// flight is one pcie-pkt on the wire toward the peer: the snapshot,
+// its transmit tick (the begin mark of the wire attribution segment:
+// serialization + propagation), and the delivery callback, bound once
+// when the flight is created so that scheduling a delivery allocates
+// nothing. A flight belongs to the sending interface and returns to its
+// free list once delivered.
+type flight struct {
+	pp      PciePkt
+	txStart sim.Tick
+	from    *Interface
+	land    func()
+}
+
+// getFlight pops a free flight, or allocates one.
+func (i *Interface) getFlight() *flight {
 	if n := len(i.flightFree); n > 0 {
-		pp := i.flightFree[n-1]
+		f := i.flightFree[n-1]
 		i.flightFree[n-1] = nil
 		i.flightFree = i.flightFree[:n-1]
+		return f
+	}
+	f := &flight{from: i}
+	f.land = f.deliver
+	return f
+}
+
+// deliver hands the snapshot to the peer, then recycles the flight.
+func (f *flight) deliver() {
+	i := f.from
+	if i.eng.SpansOn() && f.pp.Kind == KindTLP && f.pp.TLP != nil {
+		i.spanObserve(&i.wireSeg, "wire", f.txStart, f.pp.TLP.ID)
+	}
+	i.peer.receive(&f.pp)
+	f.pp = PciePkt{}
+	i.flightFree = append(i.flightFree, f)
+}
+
+// newEntry pops a free replay-buffer entry, or allocates one.
+func (i *Interface) newEntry() *PciePkt {
+	if n := len(i.entryFree); n > 0 {
+		pp := i.entryFree[n-1]
+		i.entryFree[n-1] = nil
+		i.entryFree = i.entryFree[:n-1]
 		return pp
 	}
 	return &PciePkt{}
 }
 
-// putFlight recycles a received snapshot buffer.
-func (i *Interface) putFlight(pp *PciePkt) {
+// recycleEntry returns a replay-buffer entry to the free list once an
+// ACK has released it and no transmit queue still holds it; until
+// then it is a no-op, and the last of releaseUpTo and the queue pops
+// recycles the entry. The flush paths (dead link, hot-plug reset) drop
+// their entries to the GC instead.
+func (i *Interface) recycleEntry(pp *PciePkt) {
+	if !pp.acked || pp.inFreshQ || pp.inReplayQ {
+		return
+	}
 	*pp = PciePkt{}
-	i.flightFree = append(i.flightFree, pp)
+	i.entryFree = append(i.entryFree, pp)
+}
+
+// popFront removes and returns the head of a queue in place, so the
+// backing array is reused rather than crept along and regrown.
+func popFront[T any](q *[]T) T {
+	s := *q
+	head := s[0]
+	copy(s, s[1:])
+	var zero T
+	s[len(s)-1] = zero
+	*q = s[:len(s)-1]
+	return head
 }
 
 // pause freezes the interface for a link-down window: every DLL timer
@@ -1278,6 +1341,7 @@ func (i *Interface) releaseUpTo(seq uint64) bool {
 			pp.acked = true
 			released = true
 			i.ackLat.Observe(uint64(now - pp.acceptedAt))
+			i.recycleEntry(pp)
 		} else {
 			keep = append(keep, pp)
 		}
@@ -1333,9 +1397,16 @@ func (i *Interface) replayTimeout() {
 }
 
 func (i *Interface) startReplay() {
+	// The new replay queue supersedes the old one: entries it still
+	// held leave it here, and the acked ones among them are recycled.
+	for _, pp := range i.replayQ {
+		pp.inReplayQ = false
+		i.recycleEntry(pp)
+	}
 	i.replayQ = append(i.replayQ[:0], i.replayBuf...)
 	now := i.eng.Now()
 	for _, pp := range i.replayQ {
+		pp.inReplayQ = true
 		pp.replayed = true
 		pp.queuedAt = now
 	}

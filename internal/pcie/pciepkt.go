@@ -74,6 +74,11 @@ type PciePkt struct {
 	// acked marks a replay-buffer entry already released by an ACK so a
 	// queued retransmission of it is skipped.
 	acked bool
+	// inFreshQ and inReplayQ mark a replay-buffer entry still held by a
+	// transmit queue. A replay can queue the same entry in both, and the
+	// entry returns to its interface's free list only once it is acked
+	// and neither queue holds it.
+	inFreshQ, inReplayQ bool
 	// replayed marks a retransmission (for the replay-rate statistic).
 	replayed bool
 	// acceptedAt stamps when the TLP entered the replay buffer, for the

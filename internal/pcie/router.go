@@ -78,6 +78,11 @@ type Port struct {
 	// response queue (used for master aborts) was full.
 	abortRetryPending bool
 
+	// Retry event names and callbacks, built once: the wake paths
+	// schedule one per refusal.
+	reqretryName, respretryName, abortretryName string
+	reqretryFn, respretryFn                     func()
+
 	// cached VP2P window decode, invalidated on config writes
 	win      portWindows
 	winValid bool
@@ -632,6 +637,11 @@ func (r *router) addPort(name string, vp2p *pci.ConfigSpace) *Port {
 	p := &Port{r: r, index: len(r.ports), name: name, vp2p: vp2p}
 	p.slave = mem.NewSlavePort(name+".slave", (*portSlave)(p))
 	p.master = mem.NewMasterPort(name+".master", (*portMaster)(p))
+	p.reqretryName = name + ".reqretry"
+	p.respretryName = name + ".respretry"
+	p.abortretryName = name + ".abortretry"
+	p.reqretryFn = p.slave.SendReqRetry
+	p.respretryFn = p.master.SendRespRetry
 	p.reqQ = mem.NewSendQueue(r.eng, name+".reqq", r.cfg.BufferSize, func(pk *mem.Packet) bool {
 		return p.master.SendTimingReq(pk)
 	})
@@ -645,7 +655,7 @@ func (r *router) addPort(name string, vp2p *pci.ConfigSpace) *Port {
 		p.wakeWaiters(&p.respWaiters, false)
 		if p.abortRetryPending {
 			p.abortRetryPending = false
-			r.eng.ScheduleAt(p.name+".abortretry", r.eng.Now(), sim.PriorityRetry, p.slave.SendReqRetry)
+			r.eng.ScheduleAt(p.abortretryName, r.eng.Now(), sim.PriorityRetry, p.reqretryFn)
 		}
 	})
 	if vp2p != nil {
@@ -670,9 +680,9 @@ func (p *Port) wakeWaiters(list *[]*Port, req bool) {
 	*list = (*list)[:len(*list)-1]
 	eng := p.r.eng
 	if req {
-		eng.ScheduleAt(w.name+".reqretry", eng.Now(), sim.PriorityRetry, w.slave.SendReqRetry)
+		eng.ScheduleAt(w.reqretryName, eng.Now(), sim.PriorityRetry, w.reqretryFn)
 	} else {
-		eng.ScheduleAt(w.name+".respretry", eng.Now(), sim.PriorityRetry, w.master.SendRespRetry)
+		eng.ScheduleAt(w.respretryName, eng.Now(), sim.PriorityRetry, w.respretryFn)
 	}
 }
 

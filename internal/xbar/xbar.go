@@ -51,10 +51,14 @@ type ingressPort struct {
 	index int
 	port  *mem.SlavePort
 	respQ *mem.SendQueue
-	// respWaiters are this crossbar's master ports whose response
+	// respWaiters are this crossbar's egress ports whose response
 	// delivery was refused because respQ was full.
-	respWaiters []*mem.MasterPort
+	respWaiters []*egressPort
 	nextFree    sim.Tick
+	// reqretryName/reqretryFn tell the external master to retry a
+	// refused request; built once, scheduled per refusal.
+	reqretryName string
+	reqretryFn   func()
 }
 
 // egressPort is where an external slave connects. It owns the egress
@@ -65,10 +69,14 @@ type egressPort struct {
 	port   *mem.MasterPort
 	ranges mem.RangeList
 	reqQ   *mem.SendQueue
-	// reqWaiters are this crossbar's slave ports whose request was
+	// reqWaiters are this crossbar's ingress ports whose request was
 	// refused because reqQ was full.
-	reqWaiters []*mem.SlavePort
+	reqWaiters []*ingressPort
 	nextFree   sim.Tick
+	// respretryName/respretryFn tell the external slave to retry a
+	// refused response; built once, scheduled per refusal.
+	respretryName string
+	respretryFn   func()
 }
 
 // New creates an empty crossbar.
@@ -84,6 +92,8 @@ func (x *XBar) Name() string { return x.name }
 func (x *XBar) SlavePort(name string) *mem.SlavePort {
 	in := &ingressPort{x: x, index: len(x.ingress)}
 	in.port = mem.NewSlavePort(fmt.Sprintf("%s.slave[%s]", x.name, name), (*xbarSlaveOwner)(in))
+	in.reqretryName = in.port.Name() + ".reqretry"
+	in.reqretryFn = in.port.SendReqRetry
 	in.respQ = mem.NewSendQueue(x.eng, in.port.Name()+".respq", x.cfg.QueueDepth, func(p *mem.Packet) bool {
 		return in.port.SendTimingResp(p)
 	})
@@ -106,6 +116,8 @@ func (x *XBar) MasterPort(name string, ranges mem.RangeList) *mem.MasterPort {
 	}
 	out := &egressPort{x: x, index: len(x.egress), ranges: ranges}
 	out.port = mem.NewMasterPort(fmt.Sprintf("%s.master[%s]", x.name, name), (*xbarMasterOwner)(out))
+	out.respretryName = out.port.Name() + ".respretry"
+	out.respretryFn = out.port.SendRespRetry
 	out.reqQ = mem.NewSendQueue(x.eng, out.port.Name()+".reqq", x.cfg.QueueDepth, func(p *mem.Packet) bool {
 		return out.port.SendTimingReq(p)
 	})
@@ -150,7 +162,7 @@ func (o *xbarSlaveOwner) RecvTimingReq(_ *mem.SlavePort, pkt *mem.Packet) bool {
 		panic(fmt.Sprintf("xbar %s: no route for %v", x.name, pkt))
 	}
 	if dst.reqQ.Full() {
-		dst.addWaiter(in.port)
+		dst.addWaiter(in)
 		return false
 	}
 	pkt.PushRoute(x, in.index)
@@ -188,7 +200,7 @@ func (o *xbarMasterOwner) RecvTimingResp(_ *mem.MasterPort, pkt *mem.Packet) boo
 	in := x.ingress[idx]
 	if in.respQ.Full() {
 		pkt.PushRoute(x, idx) // restore for the retry
-		in.addRespWaiter(out.port)
+		in.addRespWaiter(out)
 		return false
 	}
 	ready := x.eng.Now() + x.cfg.ResponseLatency
@@ -204,7 +216,7 @@ func (o *xbarMasterOwner) RecvTimingResp(_ *mem.MasterPort, pkt *mem.Packet) boo
 // downstream refusal.
 func (o *xbarMasterOwner) RecvReqRetry(*mem.MasterPort) { o.out().reqQ.RetryReceived() }
 
-func (e *egressPort) addWaiter(p *mem.SlavePort) {
+func (e *egressPort) addWaiter(p *ingressPort) {
 	for _, w := range e.reqWaiters {
 		if w == p {
 			return
@@ -224,10 +236,10 @@ func (e *egressPort) freeWaiter() {
 	e.reqWaiters = e.reqWaiters[:len(e.reqWaiters)-1]
 	// Defer to an event so the retry does not run inside the queue's
 	// send path (the master may immediately re-send).
-	e.x.eng.ScheduleAt(w.Name()+".reqretry", e.x.eng.Now(), sim.PriorityRetry, w.SendReqRetry)
+	e.x.eng.ScheduleAt(w.reqretryName, e.x.eng.Now(), sim.PriorityRetry, w.reqretryFn)
 }
 
-func (in *ingressPort) addRespWaiter(p *mem.MasterPort) {
+func (in *ingressPort) addRespWaiter(p *egressPort) {
 	for _, w := range in.respWaiters {
 		if w == p {
 			return
@@ -243,5 +255,5 @@ func (in *ingressPort) freeWaiter() {
 	w := in.respWaiters[0]
 	copy(in.respWaiters, in.respWaiters[1:])
 	in.respWaiters = in.respWaiters[:len(in.respWaiters)-1]
-	in.x.eng.ScheduleAt(w.Name()+".respretry", in.x.eng.Now(), sim.PriorityRetry, w.SendRespRetry)
+	in.x.eng.ScheduleAt(w.respretryName, in.x.eng.Now(), sim.PriorityRetry, w.respretryFn)
 }
