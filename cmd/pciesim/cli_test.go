@@ -75,6 +75,9 @@ var cliCases = [][]string{
 	{"-switchlat", "-5"},
 	{"-workload", "bursty-rx", "-wl-gap", "-3"},
 	{"-rclat", "99999999999999999"},
+	// Fault traces of the completion-timeout and DPC answer paths.
+	{"-block", "1", "-downat", "1000", "-downdur", "0", "-cto", "100", "-trace", "fault"},
+	{"-hotplug", "at=1500,reinsert=500", "-trace", "fault"},
 }
 
 // TestCLIGolden pins stdout, stderr and the exit status of every
