@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"pciesim/internal/campaign"
 	"pciesim/internal/sim"
 	"pciesim/internal/topo"
 	"pciesim/internal/workload"
@@ -161,13 +160,6 @@ func wlMatrixFlows(n int) []workload.FlowSpec {
 	return flows
 }
 
-// wlRun is one independent simulation of the workload figure.
-type wlRun struct {
-	label string
-	spec  string // canned name or topology grammar
-	trace *workload.Trace
-}
-
 // wlOutcome carries a run's per-flow results plus its full stats dump,
 // which the replay check compares byte-for-byte.
 type wlOutcome struct {
@@ -175,41 +167,38 @@ type wlOutcome struct {
 	dump []byte
 }
 
-// wlExecute builds a fresh platform for the spec and executes the
-// trace on it. Every caller — campaign worker or replay check — goes
-// through here, so a run is a function of (spec, trace) alone.
-func wlExecute(spec string, tr *workload.Trace) (wlOutcome, error) {
+// wlJob is one independent simulation of the workload figure: a fresh
+// platform for spec (a canned name or topology grammar) executing tr,
+// so a run is a function of (spec, trace) alone.
+func wlJob(label, spec string, tr *workload.Trace) (job[wlOutcome], error) {
 	ts, err := topo.Lookup(spec)
 	if err != nil {
-		return wlOutcome{}, err
+		return job[wlOutcome]{}, fmt.Errorf("%s: %w", label, err)
 	}
 	cfg := DefaultConfig()
 	cfg.EnableMSI = true // exercise the e1000e MSI interrupt path
-	sys, err := Build(ts, cfg)
-	if err != nil {
-		return wlOutcome{}, err
-	}
-	res, err := workload.Run(sys, tr, workload.RunConfig{})
-	if err != nil {
-		return wlOutcome{}, err
-	}
-	sys.Eng.Run() // drain stragglers so the dump is a fixed point
-	var buf bytes.Buffer
-	if err := sys.Eng.Stats().WriteJSON(&buf, uint64(sys.Eng.Now())); err != nil {
-		return wlOutcome{}, err
-	}
-	return wlOutcome{res: res, dump: buf.Bytes()}, nil
+	return job[wlOutcome]{label: label, spec: ts, cfg: cfg, run: func(sys *System) (wlOutcome, error) {
+		res, err := workload.Run(sys, tr, workload.RunConfig{})
+		if err != nil {
+			return wlOutcome{}, err
+		}
+		sys.Eng.Run() // drain stragglers so the dump is a fixed point
+		var buf bytes.Buffer
+		if err := sys.Eng.Stats().WriteJSON(&buf, uint64(sys.Eng.Now())); err != nil {
+			return wlOutcome{}, err
+		}
+		return wlOutcome{res: res, dump: buf.Bytes()}, nil
+	}}, nil
 }
 
 // RunFigWL runs the workload-engine figure: Poisson vs bursty ON/OFF
 // NIC receive traffic at equal offered load on the validation
 // topology, a 1/2/4-flow random-read contention matrix on fanout
 // topologies, and a capture/replay byte-identity check on the Poisson
-// run. Options.Jobs fans the independent runs; Scale does not apply
-// (the op counts are fixed).
+// run. Options.Jobs fans the six independent runs, which the Observe
+// hooks see as poisson, bursty, matrix1, matrix2, matrix4 and replay;
+// Scale and Par do not apply (the op counts are fixed).
 func RunFigWL(opt Options) (WLFigure, error) {
-	opt = opt.normalize()
-
 	poisson, err := workload.Synthesize(wlNICFlow(workload.ArrivalPoisson))
 	if err != nil {
 		return WLFigure{}, err
@@ -218,35 +207,33 @@ func RunFigWL(opt Options) (WLFigure, error) {
 	if err != nil {
 		return WLFigure{}, err
 	}
-	runs := []wlRun{
-		{label: "poisson", spec: "validation", trace: poisson},
-		{label: "bursty", spec: "validation", trace: bursty},
+	// Capture/replay lockdown: encode the Poisson trace and parse it
+	// back (the round trip a -wl-capture file takes); its run on a fresh
+	// platform must reproduce the Poisson run's stats dump.
+	replayed, err := workload.ParseString(poisson.EncodeString())
+	if err != nil {
+		return WLFigure{}, fmt.Errorf("replay parse: %w", err)
 	}
+	type run struct {
+		label, spec string
+		trace       *workload.Trace
+	}
+	runs := []run{{"poisson", "validation", poisson}, {"bursty", "validation", bursty}}
 	for n := 1; n <= wlMatrixMax; n *= 2 {
 		tr, err := workload.Synthesize(wlMatrixFlows(n))
 		if err != nil {
 			return WLFigure{}, err
 		}
-		runs = append(runs, wlRun{
-			label: fmt.Sprintf("matrix%d", n),
-			spec:  fmt.Sprintf("switch:x4(disk*%d)", n),
-			trace: tr,
-		})
+		runs = append(runs, run{fmt.Sprintf("matrix%d", n), fmt.Sprintf("switch:x4(disk*%d)", n), tr})
 	}
-
-	outcomes := make([]wlOutcome, len(runs))
-	err = campaign.RunCollect(opt.jobs(), len(runs),
-		func(i int) (wlOutcome, error) {
-			o, err := wlExecute(runs[i].spec, runs[i].trace)
-			if err != nil {
-				return wlOutcome{}, fmt.Errorf("%s: %w", runs[i].label, err)
-			}
-			return o, nil
-		},
-		func(i int, o wlOutcome) error {
-			outcomes[i] = o
-			return nil
-		})
+	runs = append(runs, run{"replay", "validation", replayed})
+	jobs := make([]job[wlOutcome], len(runs))
+	for i, r := range runs {
+		if jobs[i], err = wlJob(r.label, r.spec, r.trace); err != nil {
+			return WLFigure{}, err
+		}
+	}
+	outcomes, err := runJobs(opt, jobs)
 	if err != nil {
 		return WLFigure{}, err
 	}
@@ -263,28 +250,15 @@ func RunFigWL(opt Options) (WLFigure, error) {
 			Lat:         f.Lat,
 		})
 	}
-	for i := 2; i < len(runs); i++ {
-		res := outcomes[i].res
-		row := WLMatrixRow{Flows: len(res.Flows), Fairness: res.FairnessSpread()}
-		for _, f := range res.Flows {
+	for _, o := range outcomes[2 : len(outcomes)-1] {
+		row := WLMatrixRow{Flows: len(o.res.Flows), Fairness: o.res.FairnessSpread()}
+		for _, f := range o.res.Flows {
 			row.PerFlowGbps = append(row.PerFlowGbps, f.GoodputGbps())
 			row.AggregateGbps += f.GoodputGbps()
 			row.P99Us = append(row.P99Us, usOf(f.Lat.P99))
 		}
 		fig.Matrix = append(fig.Matrix, row)
 	}
-
-	// Capture/replay lockdown: encode the Poisson trace, parse it back
-	// (the round trip a -wl-capture file takes), run it on a fresh
-	// platform, and demand the identical stats dump.
-	replayed, err := workload.ParseString(poisson.EncodeString())
-	if err != nil {
-		return WLFigure{}, fmt.Errorf("replay parse: %w", err)
-	}
-	replay, err := wlExecute(runs[0].spec, replayed)
-	if err != nil {
-		return WLFigure{}, fmt.Errorf("replay run: %w", err)
-	}
-	fig.ReplayIdentical = bytes.Equal(replay.dump, outcomes[0].dump)
+	fig.ReplayIdentical = bytes.Equal(outcomes[len(outcomes)-1].dump, outcomes[0].dump)
 	return fig, nil
 }

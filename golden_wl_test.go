@@ -11,10 +11,11 @@ import (
 
 // goldenWLCases pin the workload engines' observable behavior the same
 // way goldenCases pin dd's: each materializes a synthetic schedule,
-// executes it on a fresh topology platform, and compares the complete
-// stats dump byte-for-byte against testdata/golden/wl-*.json. Any
-// drift in the generators (a different gap drawn, a different address)
-// or in the executor (an op issued a tick late) shows up as a diff.
+// executes it as a workload-figure job on a fresh topology platform,
+// and compares the complete stats dump byte-for-byte against
+// testdata/golden/wl-*.json. Any drift in the generators (a different
+// gap drawn, a different address) or in the executor (an op issued a
+// tick late) shows up as a diff.
 var goldenWLCases = []struct {
 	name  string
 	spec  string
@@ -36,10 +37,15 @@ func TestGoldenWLDumps(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			out, err := wlExecute(tc.spec, tr)
+			j, err := wlJob(tc.name, tc.spec, tr)
 			if err != nil {
 				t.Fatal(err)
 			}
+			outs, err := runJobs(Options{}, []job[wlOutcome]{j})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := outs[0]
 			path := filepath.Join("testdata", "golden", tc.name+".json")
 			if *updateGolden {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {

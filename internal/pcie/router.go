@@ -91,17 +91,23 @@ type Port struct {
 	// for the root complex upstream port, which has no VP2P).
 	aer *pci.AER
 
-	// dpc/npt implement Downstream Port Containment on downstream-
-	// facing slot ports; both nil unless RouterConfig.EnableDPC.
-	dpc *pci.DPC
-	npt *npTracker
+	// dpc is the Downstream Port Containment capability of a
+	// downstream-facing slot port (nil unless RouterConfig.EnableDPC).
+	// dpcQ holds contained requests whose error completions wait for
+	// room in their ingress response queue; dpcDrain retries them.
+	dpc      *pci.DPC
+	dpcQ     []*reqEntry
+	dpcDrain *sim.Event
 
 	// pcieCapOff caches the VP2P's PCI-Express capability offset for
 	// slot/link status updates (0 when absent).
 	pcieCapOff int
 
-	// Stats.
-	reqIn, respIn, aborts uint64
+	// Stats. The dpc counters are error completions synthesized,
+	// posted writes discarded while contained, and genuine completions
+	// dropped after containment answered them.
+	reqIn, respIn, aborts        uint64
+	dpcSynth, dpcPosted, dpcLate uint64
 }
 
 type portWindows struct {
@@ -195,19 +201,18 @@ func (p *Port) watchLink(l *Link, slot bool) {
 // OnTrigger to raise the containment interrupt toward software.
 func (p *Port) DPC() *pci.DPC { return p.dpc }
 
-// armDPC attaches the DPC capability and its containment tracker to a
-// downstream-facing slot port. Stats appear only on armed platforms so
-// unarmed dumps stay byte-identical.
+// armDPC attaches the DPC capability to a downstream-facing slot port.
+// Stats appear only on armed platforms so unarmed dumps stay
+// byte-identical.
 func (p *Port) armDPC() {
 	p.dpc = pci.AddDPC(p.vp2p)
-	p.npt = newNPTracker(p)
-	t := p.npt
+	p.dpcDrain = p.r.eng.NewEvent(p.name+".dpcDrain", p.drainDPC)
 	reg := p.r.eng.Stats()
 	reg.CounterFunc(p.name+".dpc.triggers", func() uint64 { return p.dpc.Triggers() })
 	reg.CounterFunc(p.name+".dpc.releases", func() uint64 { return p.dpc.Releases() })
-	reg.CounterFunc(p.name+".dpc.np_synth", func() uint64 { return t.synth })
-	reg.CounterFunc(p.name+".dpc.posted_discarded", func() uint64 { return t.postedDiscarded })
-	reg.CounterFunc(p.name+".dpc.late", func() uint64 { return t.late })
+	reg.CounterFunc(p.name+".dpc.np_synth", func() uint64 { return p.dpcSynth })
+	reg.CounterFunc(p.name+".dpc.posted_discarded", func() uint64 { return p.dpcPosted })
+	reg.CounterFunc(p.name+".dpc.late", func() uint64 { return p.dpcLate })
 }
 
 // triggerDPC engages containment after a fatal error below the port:
@@ -223,131 +228,34 @@ func (p *Port) triggerDPC(reason uint16) {
 	if !p.dpc.Trigger(reason, pci.NewBDF(sec, 0, 0)) {
 		return
 	}
+	queued := len(p.dpcQ)
+	p.r.reqs.contain(p)
 	if tr := p.r.eng.Tracer(); tr.On(trace.CatFault) {
 		tr.Emit(trace.CatFault, uint64(p.r.eng.Now()), p.name, "dpc-trigger", 0,
 			fmt.Sprintf("reason=%d containing %d in-flight non-posted requests",
-				reason, len(p.npt.byID)))
+				reason, len(p.dpcQ)-queued))
 	}
-	p.npt.flushAll()
+	p.drainDPC()
 }
 
-// npTracker follows every non-posted request forwarded out one DPC-
-// capable downstream port, mirroring the root complex's ctoTracker: an
-// error completion is pre-built at track time (the live request may be
-// converted in place by a completer before the sub-tree dies), matched
-// completions retire entries, and a containment trigger answers every
-// outstanding entry at once. Tombstones swallow genuine completions
-// that race the synthesized ones.
-type npTracker struct {
-	p     *Port
-	order []*npEntry // FIFO; leading done entries pruned lazily
-	byID  map[uint64]*npEntry
-	// answered holds IDs whose error completion containment
-	// synthesized; a genuine completion with that ID must be dropped.
-	answered map[uint64]struct{}
-	// flushQ holds entries awaiting synthesis while the ingress
-	// response queue is full; drainEv retries.
-	flushQ  []*npEntry
-	drainEv *sim.Event
-
-	synth           uint64 // error completions synthesized
-	postedDiscarded uint64 // posted writes discarded while contained
-	late            uint64 // genuine completions dropped after synthesis
-}
-
-type npEntry struct {
-	id      uint64
-	errResp *mem.Packet
-	in      *Port // ingress port: the synthesized completion's way back
-	done    bool
-}
-
-func newNPTracker(p *Port) *npTracker {
-	t := &npTracker{
-		p:        p,
-		byID:     make(map[uint64]*npEntry),
-		answered: make(map[uint64]struct{}),
-	}
-	t.drainEv = p.r.eng.NewEvent(p.name+".dpcDrain", t.drain)
-	return t
-}
-
-// track records a non-posted request forwarded out the port.
-func (t *npTracker) track(pkt *mem.Packet, in *Port) {
-	for len(t.order) > 0 && t.order[0].done {
-		t.order = t.order[1:]
-	}
-	e := &npEntry{id: pkt.ID, errResp: pkt.MakeErrorResponse(), in: in}
-	t.order = append(t.order, e)
-	t.byID[pkt.ID] = e
-}
-
-// observe matches an inbound completion; false means the completion is
-// late (containment already answered it) and must be swallowed.
-func (t *npTracker) observe(id uint64) bool {
-	if _, dead := t.answered[id]; dead {
-		delete(t.answered, id)
-		t.late++
-		if tr := t.p.r.eng.Tracer(); tr.On(trace.CatFault) {
-			tr.Emit(trace.CatFault, uint64(t.p.r.eng.Now()), t.p.name,
-				"dpc-late-completion", id, "dropped; containment already answered")
-		}
-		return false
-	}
-	if e, ok := t.byID[id]; ok {
-		e.done = true
-		delete(t.byID, id)
-	}
-	return true
-}
-
-// cancel retires an entry someone else answered (the root complex
-// completion timeout) without tombstoning it here.
-func (t *npTracker) cancel(id uint64) {
-	if e, ok := t.byID[id]; ok {
-		e.done = true
-		delete(t.byID, id)
-	}
-}
-
-// flushAll answers every outstanding non-posted request with its
-// pre-built error completion, routed back through its ingress port.
-func (t *npTracker) flushAll() {
-	for _, e := range t.order {
-		if e.done {
-			continue
-		}
-		e.done = true
-		delete(t.byID, e.id)
-		t.answered[e.id] = struct{}{}
-		if t.p.r.cto != nil {
-			// Containment owns the answer; the completion timeout must
-			// not fire a duplicate later.
-			t.p.r.cto.cancel(e.id)
-		}
-		t.flushQ = append(t.flushQ, e)
-	}
-	t.order = t.order[:0]
-	t.drain()
-}
-
-// drain pushes queued synthesized completions, retrying while ingress
-// response queues are full (they always drain: they end at requesters).
-func (t *npTracker) drain() {
-	eng := t.p.r.eng
-	for len(t.flushQ) > 0 {
-		e := t.flushQ[0]
+// drainDPC pushes the contained requests' error completions, retrying
+// while an ingress response queue is full (they always drain: they end
+// at requesters).
+func (p *Port) drainDPC() {
+	eng := p.r.eng
+	for len(p.dpcQ) > 0 {
+		e := p.dpcQ[0]
 		if e.in.respQ.Full() {
-			eng.ScheduleEventAfter(t.drainEv, t.p.r.cfg.Latency+1, sim.PriorityTimer)
+			eng.ScheduleEventAfter(p.dpcDrain, p.r.cfg.Latency+1, sim.PriorityTimer)
 			return
 		}
-		t.flushQ = t.flushQ[1:]
-		t.synth++
+		p.dpcQ = p.dpcQ[1:]
+		p.dpcSynth++
 		if tr := eng.Tracer(); tr.On(trace.CatFault) {
-			tr.Emit(trace.CatFault, uint64(eng.Now()), t.p.name,
+			tr.Emit(trace.CatFault, uint64(eng.Now()), p.name,
 				"dpc-synth", e.id, "synthesizing error completion for contained request")
 		}
-		e.in.respQ.Push(e.errResp, eng.Now()+t.p.r.cfg.Latency)
+		e.in.respQ.Push(e.errResp, eng.Now()+p.r.cfg.Latency)
 	}
 }
 
@@ -355,25 +263,36 @@ func (t *npTracker) drain() {
 // writes are discarded and counted, non-posted requests complete with
 // an error in place through the ingress port, like a master abort.
 func (p *Port) containedAbort(in *Port, pkt *mem.Packet) bool {
-	t := p.npt
-	eng := p.r.eng
+	tr := p.r.eng.Tracer()
 	if pkt.Posted {
-		t.postedDiscarded++
-		if tr := eng.Tracer(); tr.On(trace.CatFault) {
-			tr.Emit(trace.CatFault, uint64(eng.Now()), p.name,
+		p.dpcPosted++
+		if tr.On(trace.CatFault) {
+			tr.Emit(trace.CatFault, uint64(p.r.eng.Now()), p.name,
 				"dpc-posted-discard", pkt.ID, "")
 		}
 		pkt.Release()
 		return true
 	}
-	if in.respQ.Full() {
-		in.abortRetryPending = true
+	if !in.answerInPlace(pkt, true) {
 		return false
 	}
-	t.synth++
-	if tr := eng.Tracer(); tr.On(trace.CatFault) {
-		tr.Emit(trace.CatFault, uint64(eng.Now()), p.name,
+	p.dpcSynth++
+	if tr.On(trace.CatFault) {
+		tr.Emit(trace.CatFault, uint64(p.r.eng.Now()), p.name,
 			"dpc-abort", pkt.ID, "port contained; completing with error")
+	}
+	return true
+}
+
+// answerInPlace completes a request that entered at p without
+// forwarding it: the request packet becomes its own completion, with
+// all-ones read data and, for a containment abort, the error bit, sent
+// back through p's response queue. It returns false, arming p's abort
+// retry, while that queue is full.
+func (p *Port) answerInPlace(pkt *mem.Packet, errored bool) bool {
+	if p.respQ.Full() {
+		p.abortRetryPending = true
+		return false
 	}
 	if pkt.Cmd == mem.ReadReq {
 		if pkt.Data == nil {
@@ -383,8 +302,10 @@ func (p *Port) containedAbort(in *Port, pkt *mem.Packet) bool {
 			pkt.Data[i] = 0xff
 		}
 	}
-	pkt.Error = true
-	in.respQ.Push(pkt.MakeResponse(), eng.Now()+p.r.cfg.Latency)
+	if errored {
+		pkt.Error = true
+	}
+	p.respQ.Push(pkt.MakeResponse(), p.r.eng.Now()+p.r.cfg.Latency)
 	return true
 }
 
@@ -466,158 +387,172 @@ type router struct {
 	// reflection).
 	p2pTurns uint64
 
-	// cto tracks outstanding non-posted downstream requests when
-	// CompletionTimeout is armed (root complex only).
-	cto *ctoTracker
+	// reqs tracks outstanding non-posted requests when the completion
+	// timeout or DPC is armed (nil otherwise).
+	reqs *reqTable
 }
 
-// ctoTracker implements the root complex completion-timeout mechanism:
-// a FIFO of outstanding non-posted requests with a single timer event
-// (deadlines are monotone because the timeout is fixed), an index by
-// packet ID for completion matching, and a tombstone set so a late
-// completion arriving after its synthesized error response is dropped
-// before it can reach a requester that already consumed the error.
-type ctoTracker struct {
-	r       *router
+// reqTable follows the non-posted requests a router forwards into
+// sub-trees that may die: every request the root complex's completion
+// timer covers (in through the upstream port, out through a root port)
+// and every request that leaves by a DPC-capable port. Each entry
+// carries an error completion built at track time. It must be built
+// then, not when the answer is due: MakeResponse converts requests in
+// place, so by then a completer may already have turned the live
+// request into a response that died on the dead link. Whichever answers
+// first — the timer or a containment trigger on the egress port —
+// retires the entry and leaves a tombstone, so a genuine completion
+// arriving afterwards is dropped before it reaches the requester twice.
+type reqTable struct {
+	r     *router
+	order []*reqEntry // tracking order; leading done entries pruned lazily
+	byID  map[uint64]*reqEntry
+	// answered maps the ID of every answered request to the DPC port
+	// that answered it, or to nil for the completion timer.
+	answered map[uint64]*Port
+
+	// The completion timer (root complex with CompletionTimeout only).
+	// Deadlines are monotone in tracking order because the timeout is
+	// fixed, so one event serves them all.
 	timeout sim.Tick
-	ev      *sim.Event
-	pending []*ctoEntry
-	byID    map[uint64]*ctoEntry
-	// timedOut holds IDs whose error completion was synthesized; a
-	// real completion with that ID is late and must be dropped.
-	timedOut map[uint64]struct{}
-
-	fired uint64 // error completions synthesized
-	late  uint64 // genuine completions dropped after timing out
-
-	// lat is the request-tracked-to-completion latency histogram for
-	// requests that did complete in time.
-	lat *stats.Histogram
-	// seg is the cpl-turnaround attribution histogram, resolved lazily
-	// when spans are armed (nil until then, so unarmed dumps are
+	timer   *sim.Event
+	fired   uint64 // error completions the timer synthesized
+	late    uint64 // genuine completions dropped after timing out
+	// lat is the tracked-to-completion latency of timed requests that
+	// completed in time; seg is its cpl-turnaround attribution, resolved
+	// lazily when spans are armed (nil until then, so unarmed dumps are
 	// unchanged).
-	seg *stats.Histogram
+	lat, seg *stats.Histogram
 }
 
-type ctoEntry struct {
-	id uint64
-	// trackedAt feeds the completion-latency histogram.
-	trackedAt sim.Tick
-	// errResp is the error completion pre-built at track time. It must
-	// be snapshotted here, not synthesized at expiry: MakeResponse
-	// converts request packets in place, so by the time the timer
-	// fires a completer may already have turned the live request into
-	// a response that then died on the dead link.
-	errResp  *mem.Packet
-	dst      *Port
+type reqEntry struct {
+	id      uint64
+	in, out *Port // ingress (the error completion's way back) and egress
+	errResp *mem.Packet
+	// deadline is nonzero when the completion timer covers the entry.
 	deadline sim.Tick
 	done     bool
 }
 
-func newCTOTracker(r *router, timeout sim.Tick) *ctoTracker {
-	t := &ctoTracker{
+// newReqTable creates a router's request table; a nonzero timeout arms
+// the completion timer and registers its stats.
+func newReqTable(r *router, timeout sim.Tick) *reqTable {
+	t := &reqTable{
 		r: r, timeout: timeout,
-		byID:     make(map[uint64]*ctoEntry),
-		timedOut: make(map[uint64]struct{}),
+		byID:     make(map[uint64]*reqEntry),
+		answered: make(map[uint64]*Port),
 	}
-	t.ev = r.eng.NewEvent(r.name+".ctoTimer", t.fire)
-	reg := r.eng.Stats()
-	reg.CounterFunc(r.name+".cto.fired", func() uint64 { return t.fired })
-	reg.CounterFunc(r.name+".cto.late", func() uint64 { return t.late })
-	t.lat = reg.Histogram(r.name + ".completion_latency")
+	if timeout > 0 {
+		t.timer = r.eng.NewEvent(r.name+".ctoTimer", t.expire)
+		reg := r.eng.Stats()
+		reg.CounterFunc(r.name+".cto.fired", func() uint64 { return t.fired })
+		reg.CounterFunc(r.name+".cto.late", func() uint64 { return t.late })
+		t.lat = reg.Histogram(r.name + ".completion_latency")
+	}
 	return t
 }
 
-// track arms the timer for a non-posted request forwarded to dst.
-func (t *ctoTracker) track(pkt *mem.Packet, dst *Port) {
-	e := &ctoEntry{
-		id:        pkt.ID,
-		trackedAt: t.r.eng.Now(),
-		errResp:   pkt.MakeErrorResponse(),
-		dst:       dst,
-		deadline:  t.r.eng.Now() + t.timeout,
+// track records a non-posted request forwarded from in to out, if the
+// timer or out's containment covers it.
+func (t *reqTable) track(pkt *mem.Packet, in, out *Port) {
+	timed := t.timer != nil && in.index == 0 && out.index != 0
+	if !timed && out.dpc == nil {
+		return
 	}
-	t.pending = append(t.pending, e)
+	for len(t.order) > 0 && t.order[0].done {
+		t.order = t.order[1:]
+	}
+	e := &reqEntry{id: pkt.ID, in: in, out: out, errResp: pkt.MakeErrorResponse()}
+	t.order = append(t.order, e)
 	t.byID[pkt.ID] = e
-	if !t.ev.Scheduled() {
-		t.r.eng.ScheduleEvent(t.ev, e.deadline, sim.PriorityTimer)
+	if timed {
+		e.deadline = t.r.eng.Now() + t.timeout
+		if !t.timer.Scheduled() {
+			t.r.eng.ScheduleEvent(t.timer, e.deadline, sim.PriorityTimer)
+		}
 	}
 }
 
-// observe matches an inbound completion. It returns false if the
-// completion is late — the timeout already answered the requester —
-// in which case the caller must swallow the packet.
-func (t *ctoTracker) observe(id uint64) bool {
-	if _, dead := t.timedOut[id]; dead {
-		delete(t.timedOut, id)
-		t.late++
-		if tr := t.r.eng.Tracer(); tr.On(trace.CatFault) {
-			tr.Emit(trace.CatFault, uint64(t.r.eng.Now()), t.r.name,
-				"late-completion", id, "dropped; timeout already answered")
+// answer retires an entry on behalf of by (nil for the timer).
+func (t *reqTable) answer(e *reqEntry, by *Port) {
+	e.done = true
+	delete(t.byID, e.id)
+	t.answered[e.id] = by
+}
+
+// observe matches a completion entering a downstream port. It returns
+// false if the completion is late — the timer or containment already
+// answered the requester — in which case the caller must swallow it.
+func (t *reqTable) observe(id uint64) bool {
+	eng := t.r.eng
+	if by, dead := t.answered[id]; dead {
+		delete(t.answered, id)
+		tr := eng.Tracer()
+		if by == nil {
+			t.late++
+			if tr.On(trace.CatFault) {
+				tr.Emit(trace.CatFault, uint64(eng.Now()), t.r.name,
+					"late-completion", id, "dropped; timeout already answered")
+			}
+		} else {
+			by.dpcLate++
+			if tr.On(trace.CatFault) {
+				tr.Emit(trace.CatFault, uint64(eng.Now()), by.name,
+					"dpc-late-completion", id, "dropped; containment already answered")
+			}
 		}
 		return false
 	}
-	if e, ok := t.byID[id]; ok {
-		e.done = true
-		delete(t.byID, id)
-		t.lat.Observe(uint64(t.r.eng.Now() - e.trackedAt))
-		if eng := t.r.eng; eng.SpansOn() {
+	e, ok := t.byID[id]
+	if !ok {
+		return true
+	}
+	e.done = true
+	delete(t.byID, id)
+	if e.deadline != 0 {
+		trackedAt := e.deadline - t.timeout
+		t.lat.Observe(uint64(eng.Now() - trackedAt))
+		if eng.SpansOn() {
 			if t.seg == nil {
 				t.seg = eng.Seg("cpl-turnaround")
 			}
-			t.seg.Observe(uint64(eng.Now() - e.trackedAt))
+			t.seg.Observe(uint64(eng.Now() - trackedAt))
 			if tr := eng.Tracer(); tr.On(trace.CatSpan) {
-				tr.Span(uint64(e.trackedAt), uint64(eng.Now()), t.r.name, "cpl-turnaround", id, "")
+				tr.Span(uint64(trackedAt), uint64(eng.Now()), t.r.name, "cpl-turnaround", id, "")
 			}
 		}
 	}
 	return true
 }
 
-// cancel retires an entry another mechanism (DPC containment) already
-// answered, without recording a completion latency or a tombstone.
-func (t *ctoTracker) cancel(id uint64) {
-	if e, ok := t.byID[id]; ok {
-		e.done = true
-		delete(t.byID, id)
-	}
-}
-
-// fire expires every overdue entry, synthesizing error completions
+// expire answers every overdue timed entry with its error completion
 // through the upstream response queue, then re-arms for the next
 // deadline.
-func (t *ctoTracker) fire() {
+func (t *reqTable) expire() {
 	eng := t.r.eng
 	now := eng.Now()
 	up := t.r.ports[0]
-	for len(t.pending) > 0 {
-		e := t.pending[0]
-		if e.done {
-			t.pending = t.pending[1:]
+	for _, e := range t.order {
+		if e.done || e.deadline == 0 {
 			continue
 		}
 		if e.deadline > now {
-			break
+			if !t.timer.Scheduled() {
+				eng.ScheduleEvent(t.timer, e.deadline, sim.PriorityTimer)
+			}
+			return
 		}
 		if up.respQ.Full() {
 			// The upstream response path always drains (it ends at the
 			// CPU); retry shortly rather than dropping the timeout.
-			eng.ScheduleEventAfter(t.ev, t.r.cfg.Latency+1, sim.PriorityTimer)
+			eng.ScheduleEventAfter(t.timer, t.r.cfg.Latency+1, sim.PriorityTimer)
 			return
 		}
-		t.pending = t.pending[1:]
-		e.done = true
-		delete(t.byID, e.id)
-		t.timedOut[e.id] = struct{}{}
+		t.answer(e, nil)
 		t.fired++
-		if e.dst.npt != nil {
-			// The timeout owns the answer now; containment must not
-			// synthesize a duplicate if the port triggers later.
-			e.dst.npt.cancel(e.id)
-		}
 		// Latch the offending request's packet ID in the AER header
 		// log so software can name the exact TLP that timed out.
-		e.dst.aer.ReportUncorrectableTLP(pci.AERUncCompletionTimeout, e.id)
+		e.out.aer.ReportUncorrectableTLP(pci.AERUncCompletionTimeout, e.id)
 		if tr := eng.Tracer(); tr.On(trace.CatFault) {
 			tr.Emit(trace.CatFault, uint64(now), t.r.name,
 				"completion-timeout", e.id,
@@ -625,11 +560,16 @@ func (t *ctoTracker) fire() {
 		}
 		up.respQ.Push(e.errResp, now+t.r.cfg.Latency)
 	}
-	for len(t.pending) > 0 && t.pending[0].done {
-		t.pending = t.pending[1:]
-	}
-	if len(t.pending) > 0 && !t.ev.Scheduled() {
-		eng.ScheduleEvent(t.ev, t.pending[0].deadline, sim.PriorityTimer)
+}
+
+// contain answers every outstanding request that left by p: the
+// entries move to p's containment queue for drainDPC.
+func (t *reqTable) contain(p *Port) {
+	for _, e := range t.order {
+		if !e.done && e.out == p {
+			t.answer(e, p)
+			p.dpcQ = append(p.dpcQ, e)
+		}
 	}
 }
 
@@ -787,11 +727,8 @@ func (o *portSlave) RecvTimingReq(_ *mem.SlavePort, pkt *mem.Packet) bool {
 		return false
 	}
 	p.reqIn++
-	if r.cto != nil && p.index == 0 && dst.index != 0 && !pkt.Posted {
-		r.cto.track(pkt, dst)
-	}
-	if dst.npt != nil && !pkt.Posted {
-		dst.npt.track(pkt, p)
+	if r.reqs != nil && !pkt.Posted {
+		r.reqs.track(pkt, p, dst)
 	}
 	dst.reqQ.Push(pkt, r.eng.Now()+r.cfg.Latency)
 	return true
@@ -804,8 +741,7 @@ func (o *portSlave) AddrRanges(*mem.SlavePort) mem.RangeList { return nil }
 // masterAbort completes an unroutable request with all-ones data
 // through the ingress port's own response queue.
 func (p *Port) masterAbort(pkt *mem.Packet) bool {
-	if p.respQ.Full() {
-		p.abortRetryPending = true
+	if !p.answerInPlace(pkt, false) {
 		return false
 	}
 	p.aborts++
@@ -813,15 +749,6 @@ func (p *Port) masterAbort(pkt *mem.Packet) bool {
 		tr.Emit(trace.CatFault, uint64(p.r.eng.Now()), p.name,
 			"master-abort", pkt.ID, fmt.Sprintf("unclaimed addr %#x", pkt.Addr))
 	}
-	if pkt.Cmd == mem.ReadReq {
-		if pkt.Data == nil {
-			pkt.Data = make([]byte, pkt.Size)
-		}
-		for i := range pkt.Data {
-			pkt.Data[i] = 0xff
-		}
-	}
-	p.respQ.Push(pkt.MakeResponse(), p.r.eng.Now()+p.r.cfg.Latency)
 	return true
 }
 
@@ -834,14 +761,10 @@ func (o *portMaster) p() *Port { return (*Port)(o) }
 func (o *portMaster) RecvTimingResp(_ *mem.MasterPort, pkt *mem.Packet) bool {
 	p := o.p()
 	r := p.r
-	if p.npt != nil && !p.npt.observe(pkt.ID) {
-		// Late completion for a request DPC containment already
-		// answered: swallow it before it reaches the requester twice.
-		return true
-	}
-	if r.cto != nil && p.index != 0 && !r.cto.observe(pkt.ID) {
-		// Late completion for a request the timeout already answered:
-		// swallow it here, before it can reach the requester twice.
+	if r.reqs != nil && p.index != 0 && !r.reqs.observe(pkt.ID) {
+		// Late completion for a request the timeout or containment
+		// already answered: swallow it before it reaches the requester
+		// twice.
 		return true
 	}
 	dst := r.routeResponse(p, pkt)
@@ -862,9 +785,6 @@ type RootComplexConfig struct {
 	// NumRootPorts is the number of downstream root ports (the paper's
 	// model implements three).
 	NumRootPorts int
-	// PortDeviceIDs optionally overrides the VP2P device IDs; defaults
-	// to the Intel Wildcat Point root port IDs of §V-A.
-	PortDeviceIDs []uint16
 }
 
 // RootComplex is the paper's root complex model (§V-A, Fig 6): an
@@ -883,10 +803,8 @@ func NewRootComplex(eng *sim.Engine, name string, host *pci.Host, cfg RootComple
 	if cfg.NumRootPorts == 0 {
 		cfg.NumRootPorts = 3
 	}
-	ids := cfg.PortDeviceIDs
-	if ids == nil {
-		ids = []uint16{pci.DeviceWildcatPort0, pci.DeviceWildcatPort1, pci.DeviceWildcatPort2}
-	}
+	// The Intel Wildcat Point root port IDs of §V-A.
+	ids := []uint16{pci.DeviceWildcatPort0, pci.DeviceWildcatPort1, pci.DeviceWildcatPort2}
 	rc := &RootComplex{router{
 		eng: eng, name: name, cfg: cfg.RouterConfig,
 		upstreamStampBus: 0,
@@ -894,10 +812,9 @@ func NewRootComplex(eng *sim.Engine, name string, host *pci.Host, cfg RootComple
 	}}
 	rc.addPort(name+".upstream", nil)
 	for i := 0; i < cfg.NumRootPorts; i++ {
-		id := ids[i%len(ids)]
 		vp2p := pci.NewType1Space(fmt.Sprintf("%s.vp2p%d", name, i), pci.Ident{
 			VendorID:  pci.VendorIntel,
-			DeviceID:  id,
+			DeviceID:  ids[i%len(ids)],
 			ClassCode: pci.ClassBridgePCI,
 		})
 		pci.AddPCIeCap(vp2p, pci.PCIeCapConfig{
@@ -913,8 +830,8 @@ func NewRootComplex(eng *sim.Engine, name string, host *pci.Host, cfg RootComple
 		}
 		host.Register(pci.NewBDF(0, uint8(i), 0), vp2p)
 	}
-	if cfg.CompletionTimeout > 0 {
-		rc.cto = newCTOTracker(&rc.router, cfg.CompletionTimeout)
+	if cfg.CompletionTimeout > 0 || cfg.EnableDPC {
+		rc.reqs = newReqTable(&rc.router, cfg.CompletionTimeout)
 	}
 	return rc
 }
@@ -922,10 +839,10 @@ func NewRootComplex(eng *sim.Engine, name string, host *pci.Host, cfg RootComple
 // CompletionTimeouts returns how many error completions the root
 // complex synthesized and how many late genuine completions it dropped.
 func (rc *RootComplex) CompletionTimeouts() (fired, late uint64) {
-	if rc.cto == nil {
+	if rc.reqs == nil {
 		return 0, 0
 	}
-	return rc.cto.fired, rc.cto.late
+	return rc.reqs.fired, rc.reqs.late
 }
 
 // UpstreamSlave returns the port half accepting processor requests
@@ -941,9 +858,6 @@ func (rc *RootComplex) RootPort(i int) *Port { return rc.ports[i+1] }
 
 // NumRootPorts returns the downstream port count.
 func (rc *RootComplex) NumRootPorts() int { return len(rc.ports) - 1 }
-
-// Aborts returns the total master-abort count across ports.
-func (rc *RootComplex) Aborts() uint64 { return aborts(&rc.router) }
 
 // Reflections counts peer-to-peer requests that hairpinned off a root
 // port — traffic a noP2P switch forced up instead of turning around.
@@ -1014,6 +928,10 @@ func NewSwitch(eng *sim.Engine, name string, host *pci.Host, cfg SwitchConfig) *
 		}
 		host.Register(pci.NewBDF(cfg.InternalBus, uint8(i), 0), down)
 	}
+	if cfg.EnableDPC {
+		// Switches forward and let the root complex own the timeout.
+		sw.reqs = newReqTable(&sw.router, 0)
+	}
 	return sw
 }
 
@@ -1037,14 +955,12 @@ func (s *Switch) DownstreamPort(i int) *Port { return s.ports[i+1] }
 // NumDownstreamPorts returns the downstream port count.
 func (s *Switch) NumDownstreamPorts() int { return len(s.ports) - 1 }
 
-// Aborts returns the total master-abort count across ports.
-func (s *Switch) Aborts() uint64 { return aborts(&s.router) }
-
 // P2PTurnarounds counts requests that entered one downstream port and
 // left through another without traversing the uplink.
 func (s *Switch) P2PTurnarounds() uint64 { return s.p2pTurns }
 
-func aborts(r *router) uint64 {
+// Aborts returns the total master-abort count across ports.
+func (r *router) Aborts() uint64 {
 	var n uint64
 	for _, p := range r.ports {
 		n += p.aborts
